@@ -15,9 +15,9 @@ from .network import (InvalidNetworkError, NetworkSpec, StarDescriptor, make_cha
 from .report import AnalysisReport, TableReport, analyze, reproduce_table
 from .symmetry import (AnticommutantResult, CommutantBasis, DarkStateSet,
                        DecompositionReport, InternalSymmetryCertificate,
-                       SymmetryReport, certify_internal_symmetry, commutant,
-                       dark_states, decompose, graph_automorphisms,
-                       internal_symmetry, permutation_matrix, symmetry_report)
+                       certify_internal_symmetry, commutant, dark_states,
+                       decompose, graph_automorphisms, internal_symmetry,
+                       permutation_matrix)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "CommutantBasis", "ControllabilityVerdict", "DarkStateSet",
     "DecompositionReport", "InternalSymmetryCertificate", "InvalidNetworkError",
     "LieClosureResult",
-    "NetworkSpec", "StarDescriptor", "SubspaceHamiltonian", "SymmetryReport",
+    "NetworkSpec", "StarDescriptor", "SubspaceHamiltonian",
     "TableReport", "analyze", "bethe_symmetric_kappas", "certify_internal_symmetry",
     "closed_form_eigensystem", "commutant", "control_matrix", "dark_states",
     "decompose", "graph_automorphisms", "half_chain_witness",
@@ -35,5 +35,5 @@ __all__ = [
     "permutation_matrix", "reproduce_table", "scan_symmetric_kappas",
     "second_excitation_chain", "serialize_network", "single_excitation",
     "star_controllable_conjecture", "star_end_control_predicate",
-    "symmetry_report", "verdict", "xx_controllable", "xx_symmetry_predicate",
+    "verdict", "xx_controllable", "xx_symmetry_predicate",
 ]

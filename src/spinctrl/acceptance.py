@@ -1,17 +1,19 @@
 """Acceptance suite: one callable per criterion, plus a deterministic runner.
 
 Every criterion recomputes its fixtures from scratch at the stated
-tolerances and reports pass/fail with detail lines. Randomized fixtures are
-drawn from a seeded generator so two runs with the same seed are
-bit-identical. Criterion 8 states the collective end-control result with
-its one exception: the half-chain cases N = 2k at kappa = 0, whose closure
-is sp(k) + u(1) of dimension k(2k+1) + 1 (below N^2 once k >= 2). Each is
-certified by an exact closure and, for k >= 2, by an integer anticommuting
-witness; the detail lines carry both certificates.
+tolerances and reports pass/fail with detail lines; only criterion 13 reuses
+work, the gcd-sweep float closures of the same pass's criterion 4.
+Randomized fixtures are drawn from a seeded generator so two runs with the
+same seed are bit-identical. Criterion 8 states the collective end-control
+result with its one exception: the half-chain cases N = 2k at kappa = 0,
+whose closure is sp(k) + u(1) of dimension k(2k+1) + 1 (below N^2 once
+k >= 2). Each is certified by an exact closure and, for k >= 2, by an
+integer anticommuting witness; the detail lines carry both certificates.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -109,14 +111,26 @@ def _gcd_sweep_fixtures():
                 yield N, k, kappa, pred
 
 
+@functools.lru_cache(maxsize=1)
+def _gcd_sweep_verdicts(tolerance: float) -> tuple:
+    """Float-closure verdicts of the gcd sweep, in fixture order.
+
+    Criteria 4 and 13 share them within one pass; run_criteria clears the
+    cache first, so every pass computes its own.
+    """
+    return tuple(
+        verdict(lie_closure(list(_chain_pair(N, "uniform", kappa, (k,))),
+                            tolerance=tolerance), N)
+        for N, k, kappa, _ in _gcd_sweep_fixtures())
+
+
 def criterion_04(tolerance: float = DEFAULT_TOL) -> CriterionResult:
     """gcd iff theorems over all uniform chains, 2 <= N <= 12, 1 <= k <= N."""
     bad = []
     count = 0
-    for N, k, kappa, pred in _gcd_sweep_fixtures():
+    for (N, k, kappa, pred), vd in zip(_gcd_sweep_fixtures(),
+                                       _gcd_sweep_verdicts(tolerance)):
         count += 1
-        h0, h1 = _chain_pair(N, "uniform", kappa, (k,))
-        vd = verdict(lie_closure([h0, h1], tolerance=tolerance), N)
         if vd.controllable != pred:
             bad.append((N, k, kappa, vd.dimension))
     lines = [f"{count} closures checked; mismatches: {bad if bad else 'none'}"]
@@ -399,27 +413,23 @@ def criterion_12(seed: int) -> CriterionResult:
 
 def criterion_13(tolerance: float = DEFAULT_TOL) -> CriterionResult:
     """Exact-rational closure dimensions equal float dimensions on every
-    rational-data fixture of criteria 1-4."""
+    rational-data fixture of criteria 1-4; the gcd-sweep float dimensions
+    are criterion 4's own."""
+    fixtures = [(list(_chain_pair(7, "uniform", 0.0, (2,))), "chain-7-2")]
+    fixtures += [(list(fig2_pair(ell)), f"fig2-{ell}") for ell in (1, 2, 3, 4)]
+    sub = second_excitation_chain(make_chain(5, [1, 2, 3, 4], 0.0, controls=(1,)))
+    fixtures.append(([sub.h0, sub.h1], "inhomogeneous-10"))
+    float_dims = [lie_closure(mats, tolerance=tolerance).dimension for mats, _ in fixtures]
+    for (N, k, kappa, _), vd in zip(_gcd_sweep_fixtures(),
+                                    _gcd_sweep_verdicts(tolerance)):
+        fixtures.append((list(_chain_pair(N, "uniform", kappa, (k,))), (N, k, kappa)))
+        float_dims.append(vd.dimension)
     bad = []
-    count = 0
-
-    def compare(mats, tag):
-        nonlocal count
-        count += 1
-        df = lie_closure(mats, mode="float", tolerance=tolerance).dimension
+    for (mats, tag), df in zip(fixtures, float_dims):
         de = lie_closure(mats, mode="exact").dimension
         if df != de:
             bad.append((tag, df, de))
-
-    compare(list(_chain_pair(7, "uniform", 0.0, (2,))), "chain-7-2")
-    for ell in (1, 2, 3, 4):
-        compare(list(fig2_pair(ell)), f"fig2-{ell}")
-    spec = make_chain(5, [1, 2, 3, 4], 0.0, controls=(1,))
-    sub = second_excitation_chain(spec)
-    compare([sub.h0, sub.h1], "inhomogeneous-10")
-    for N, k, kappa, _ in _gcd_sweep_fixtures():
-        compare(list(_chain_pair(N, "uniform", kappa, (k,))), (N, k, kappa))
-    lines = [f"{count} fixtures compared; float/exact disagreements "
+    lines = [f"{len(fixtures)} fixtures compared; float/exact disagreements "
              f"{bad if bad else 'none'}"]
     return CriterionResult(13, "float and exact closure dimensions agree", not bad,
                            lines)
@@ -427,6 +437,7 @@ def criterion_13(tolerance: float = DEFAULT_TOL) -> CriterionResult:
 
 def run_criteria(seed: int = 0, tolerance: float = DEFAULT_TOL) -> list[CriterionResult]:
     """Criteria 1-13 in order, deterministically for a fixed seed."""
+    _gcd_sweep_verdicts.cache_clear()
     return [
         criterion_01(tolerance),
         criterion_02(tolerance),

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="regenerate a bundled reference table")
     p.add_argument("--id", required=True,
                    choices=["sym", "xx-branch", "heisen-branch", "fig2-examples"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_out", metavar="PATH")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "table":
-            rep = reproduce_table(args.id, seed=args.seed)
+            rep = reproduce_table(args.id)
             if args.json_out != "-":
                 print(rep.to_text())
             _emit_json(rep.to_dict(), args.json_out)
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
             print(format_outcome(outcome, verbose=not args.quiet))
             return 0 if outcome.all_passed else 2
 
-    except (InvalidNetworkError, ValueError, OSError) as exc:
+    except (InvalidNetworkError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -31,6 +31,10 @@ import numpy as np
 
 from . import _exact
 
+# Float mode: a residual above this fraction of max(1, candidate norm) is
+# accepted at once; a smaller but significant one is deferred.
+_DEFER_THRESHOLD = 1e-1
+
 
 @dataclass
 class LieClosureResult:
@@ -56,8 +60,8 @@ class ControllabilityVerdict:
     note: str
 
 
-def lie_closure(generators, mode: str = "float", tolerance: float = 1e-6,
-                defer_threshold: float = 1e-1) -> LieClosureResult:
+def lie_closure(generators, mode: str = "float",
+                tolerance: float = 1e-6) -> LieClosureResult:
     """Close [i*G1, i*G2, ...] under commutation; report the real dimension.
 
     generators: square real symmetric matrices of equal size.
@@ -75,7 +79,7 @@ def lie_closure(generators, mode: str = "float", tolerance: float = 1e-6,
         return _exact_closure_result(mats, d)
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
-    return _float_closure(mats, d, float(tolerance), float(defer_threshold))
+    return _float_closure(mats, d, float(tolerance))
 
 
 def verdict(result: LieClosureResult, d: int | None = None) -> ControllabilityVerdict:
@@ -158,7 +162,7 @@ class _PendingPool:
         return vec
 
 
-def _float_closure(mats, d: int, tol: float, defer: float) -> LieClosureResult:
+def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
     full = d * d
     width = 2 * d * d
     basis = np.zeros((full, width))
@@ -204,7 +208,7 @@ def _float_closure(mats, d: int, tol: float, defer: float) -> LieClosureResult:
         rn = np.linalg.norm(res)
         if rn <= tol * scale:
             return
-        if rn > defer * scale:
+        if rn > _DEFER_THRESHOLD * scale:
             accept(res)
         else:
             pending.push(res, scale, seq)

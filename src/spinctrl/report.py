@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import reference
-from .analytic import (VERIFY_TOL, bethe_symmetric_kappas, heisenberg_controllable,
+from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
                        star_controllable_conjecture, xx_controllable)
 from .hamiltonian import second_excitation_chain, single_excitation
 from .lie import lie_closure, verdict
@@ -45,21 +45,7 @@ class AnalysisReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "subspace_dimension": self.subspace_dimension,
-            "closure": self.closure,
-            "commutant_dimension": self.commutant_dimension,
-            "dark_states": self.dark_states,
-            "internal_symmetry": self.internal_symmetry,
-            "automorphisms": self.automorphisms,
-            "block_sizes": self.block_sizes,
-            "analytic": self.analytic,
-            "consistency": self.consistency,
-            "timings": self.timings,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def analyze(spec: NetworkSpec, tolerance: float = 1e-6, mode: str = "float",
@@ -233,7 +219,7 @@ def _row_text(table_id: str, row: dict) -> str:
     return f"  {row}"
 
 
-def reproduce_table(table_id: str, seed: int = 0) -> TableReport:
+def reproduce_table(table_id: str) -> TableReport:
     if table_id == "sym":
         return _table_sym()
     if table_id == "xx-branch":

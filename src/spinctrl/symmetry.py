@@ -18,6 +18,10 @@ import numpy as np
 from . import _exact
 from .network import NetworkSpec
 
+_DEGENERACY_TOL = 1e-10         # eigenvalue gap, relative, that splits eigenspaces
+_MAX_DRAWS = 5                  # generic commutant elements tried by decompose
+_AUTOMORPHISM_NODE_CAP = 1_000_000  # partial assignments before the search gives up
+
 
 class DecompositionError(RuntimeError):
     """Block refinement failed to reach block-diagonal form."""
@@ -89,12 +93,11 @@ def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> Commut
                           has_external_symmetry=len(herm) > 1)
 
 
-def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8,
-                degeneracy_tol: float = 1e-10) -> DarkStateSet:
+def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8) -> DarkStateSet:
     """Intersect each eigenspace of h0 with {v : v_k = 0 for k in controls}.
 
     Eigenvalues are grouped into eigenspaces when gaps fall below
-    degeneracy_tol relative to the spectral scale; within each group the
+    _DEGENERACY_TOL relative to the spectral scale; within each group the
     dark directions are the null vectors of the control-row block.
     """
     d = h0.shape[0]
@@ -103,7 +106,7 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8,
     scale = max(1.0, float(np.abs(w).max()) if d else 1.0)
     vecs = []
     vals = []
-    for lo, hi in _eigen_groups(w, degeneracy_tol * scale):
+    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * scale):
         block = v[:, lo:hi]
         rows = block[ctrl, :]
         _, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -191,13 +194,13 @@ def certify_internal_symmetry(s, h0: np.ndarray,
         anticommutes=anticommutes)
 
 
-def graph_automorphisms(spec: NetworkSpec, node_cap: int = 1_000_000) -> list[tuple[int, ...]]:
+def graph_automorphisms(spec: NetworkSpec) -> list[tuple[int, ...]]:
     """Non-identity node permutations preserving weighted edges and controls.
 
     Backtracking over candidate images with iterated color refinement
     (control flag, degree, incident-weight profile). Permutations are
     returned as tuples p with p[i-1] = image of node i. The search visits at
-    most node_cap partial assignments and raises beyond that.
+    most _AUTOMORPHISM_NODE_CAP partial assignments and raises beyond that.
     """
     n = spec.node_count
     weights = {}
@@ -208,10 +211,6 @@ def graph_automorphisms(spec: NetworkSpec, node_cap: int = 1_000_000) -> list[tu
     controls = set(spec.controls)
 
     wclasses = _weight_classes(sorted({g for _, _, g in spec.edges}))
-
-    def wclass(a, b):
-        return wclasses.get(weights.get((a, b)))
-
     color = {v: (v in controls, len(adj[v]),
                  tuple(sorted(wclasses[g] for _, g in adj[v]))) for v in range(1, n + 1)}
     for _ in range(n):
@@ -235,8 +234,9 @@ def graph_automorphisms(spec: NetworkSpec, node_cap: int = 1_000_000) -> list[tu
     def extend(pos: int) -> None:
         nonlocal visited
         visited += 1
-        if visited > node_cap:
-            raise RuntimeError(f"automorphism search cap exceeded ({node_cap} nodes)")
+        if visited > _AUTOMORPHISM_NODE_CAP:
+            raise RuntimeError("automorphism search cap exceeded "
+                               f"({_AUTOMORPHISM_NODE_CAP} nodes)")
         if pos == n:
             perm = tuple(mapping[v] for v in range(1, n + 1))
             if perm != tuple(range(1, n + 1)):
@@ -265,7 +265,10 @@ def graph_automorphisms(spec: NetworkSpec, node_cap: int = 1_000_000) -> list[tu
             used.discard(img)
             del mapping[v]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # self-reference: a cycle that would keep the search state alive
     return sorted(found)
 
 
@@ -278,8 +281,7 @@ def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
 
 
 def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
-              tolerance: float = 1e-9, seed: int = 0,
-              max_attempts: int = 5) -> DecompositionReport:
+              tolerance: float = 1e-9, seed: int = 0) -> DecompositionReport:
     """Invariant blocks from eigenspaces of generic commutant elements.
 
     Eigenspaces of any commutant element are invariant under h0 and h1, so a
@@ -293,7 +295,7 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
     projectors = [np.eye(d)]
     scale = max(1.0, np.abs(h0).max(), np.abs(h1).max())
     history = []
-    for attempt in range(max_attempts):
+    for _ in range(_MAX_DRAWS):
         coeff = rng.standard_normal(comm.dimension)
         coeff /= np.linalg.norm(coeff)
         generic = sum(c * b for c, b in zip(coeff, comm.basis))
@@ -313,54 +315,8 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
                 block_sizes=tuple(p.shape[1] for p in ordered),
                 block_projectors=ordered)
     raise DecompositionError(
-        f"block refinement stalled after {max_attempts} draws; "
+        f"block refinement stalled after {_MAX_DRAWS} draws; "
         f"off-block residuals {history}")
-
-
-@dataclass
-class SymmetryReport:
-    """Aggregate of the four detectors for one subspace Hamiltonian pair."""
-
-    commutant_dimension: int
-    dark_state_count: int
-    dark_state_eigenvalues: list[float]
-    internal_symmetry_dimension: int
-    internal_symmetry_type: str | None
-    automorphisms: list[tuple[int, ...]]
-    block_sizes: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "commutant_dimension": self.commutant_dimension,
-            "dark_states": {
-                "count": self.dark_state_count,
-                "eigenvalues": list(self.dark_state_eigenvalues),
-            },
-            "internal_symmetry": {
-                "dimension": self.internal_symmetry_dimension,
-                "type": self.internal_symmetry_type,
-            },
-            "automorphism_generators": [list(p) for p in self.automorphisms],
-            "block_sizes": list(self.block_sizes),
-        }
-
-
-def symmetry_report(spec: NetworkSpec, h0: np.ndarray, h1: np.ndarray,
-                    tolerance: float = 1e-9, seed: int = 0) -> SymmetryReport:
-    comm = commutant(h0, h1, tolerance)
-    dark = dark_states(h0, spec.controls)
-    anti = internal_symmetry(h0, h1, tolerance)
-    autos = graph_automorphisms(spec) if h0.shape[0] == spec.node_count else []
-    blocks = decompose(h0, h1, comm, tolerance, seed=seed)
-    return SymmetryReport(
-        commutant_dimension=comm.dimension,
-        dark_state_count=dark.count,
-        dark_state_eigenvalues=[float(x) for x in dark.eigenvalues],
-        internal_symmetry_dimension=anti.dimension,
-        internal_symmetry_type=anti.symmetry_type,
-        automorphisms=autos,
-        block_sizes=blocks.block_sizes,
-    )
 
 
 def _nullspace(a: np.ndarray, tolerance: float) -> np.ndarray:

@@ -49,6 +49,13 @@ class TestAnalyze:
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
         doc = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
         assert doc["subspace_dimension"] == 5
+        assert set(doc) == {
+            "network", "subspace_dimension", "closure", "commutant_dimension",
+            "dark_states", "internal_symmetry", "automorphisms", "block_sizes",
+            "analytic", "consistency", "timings", "seed", "tolerance"}
+        assert set(doc["closure"]) == {
+            "skipped", "dimension", "full_dimension", "controllable", "note",
+            "mode", "commutators_evaluated", "saturated"}
 
 
 class TestTables:
@@ -184,3 +191,12 @@ class TestCli:
         rc = main(["chain", "--length", "4", "--kappa", "0", "--control", "9"])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_automorphism_cap_exit(self, monkeypatch, capsys):
+        # the eleven-branch star exceeds the search cap; a lowered cap keeps
+        # the test fast and takes the same path
+        import spinctrl.symmetry
+        monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 1000)
+        rc = main(["star", "--lengths", ",".join(["2"] * 11)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err

@@ -1,14 +1,19 @@
+import gc
+
 import numpy as np
 import pytest
+
+import spinctrl.symmetry
 
 from spinctrl.analytic import half_chain_witness
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
 from spinctrl.network import NetworkSpec, StarDescriptor, make_chain, make_star
 from spinctrl.reference import COMMUTING_MATRIX_7, INHOMOGENEOUS_10x10
+from spinctrl.report import analyze
 from spinctrl.symmetry import (certify_internal_symmetry, commutant, dark_states,
                                decompose, graph_automorphisms, internal_symmetry,
-                               permutation_matrix, symmetry_report)
+                               permutation_matrix)
 
 
 def chain_pair(length, couplings, kappa, controls):
@@ -236,6 +241,22 @@ class TestGraphAutomorphisms:
         autos = graph_automorphisms(spec)
         assert len(autos) == 5  # S3 on branches, minus identity
 
+    def test_search_state_freed_without_gc(self, monkeypatch):
+        # the search state must be freed by reference counting alone, both
+        # after a complete search and after one that exceeds the cap
+        spec = make_star(StarDescriptor((2,) * 6), 0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(graph_automorphisms(spec)) == 719
+            assert gc.collect() == 0
+            monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 100)
+            with pytest.raises(RuntimeError, match="cap exceeded"):
+                graph_automorphisms(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestDecompose:
     def test_seven_chain_blocks(self):
@@ -284,13 +305,12 @@ class TestDecompose:
 
 class TestSymmetryReport:
     def test_aggregates_and_serializes(self):
+        # analyze() is the one place where the detectors are aggregated
         import json
-        spec = make_chain(7, "uniform", 0.0, controls=(2,))
-        sub = single_excitation(spec)
-        rep = symmetry_report(spec, sub.h0, sub.h1)
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
         assert rep.commutant_dimension == 2
-        assert rep.dark_state_count == 1
-        assert rep.internal_symmetry_dimension == 0
-        assert rep.block_sizes == (1, 6)
+        assert rep.dark_states["count"] == 1
+        assert rep.internal_symmetry["dimension"] == 0
+        assert rep.block_sizes == [1, 6]
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["dark_states"]["count"] == 1
