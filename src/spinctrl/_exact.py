@@ -28,29 +28,43 @@ REAL = "real"
 _MAX_DENOMINATOR = 1 << 30
 
 
+def is_rational(mat) -> bool:
+    """True iff integerize accepts every entry of mat."""
+    return all(_fraction(x) is not None for x in np.asarray(mat, dtype=object).flat)
+
+
+def _fraction(x) -> Fraction | None:
+    """x as an exact Fraction, or None when exact mode cannot represent it.
+
+    Float entries are read as the exact dyadic rationals they are. An entry
+    that is not finite, or whose exact denominator exceeds 2**30, gives None:
+    the latter almost certainly approximates an irrational number.
+    """
+    if isinstance(x, Fraction):
+        f = x
+    elif isinstance(x, (int, np.integer)):
+        f = Fraction(int(x))
+    else:
+        xf = float(x)
+        if not math.isfinite(xf):
+            return None
+        f = Fraction(xf)
+    return f if f.denominator <= _MAX_DENOMINATOR else None
+
+
 def integerize(mat) -> np.ndarray:
     """Rescale a rational matrix to a content-reduced integer matrix.
 
-    Float entries are read as the exact dyadic rationals they are. An entry
-    whose exact denominator exceeds 2**30 is rejected: it almost certainly
-    approximates an irrational number, which exact mode cannot represent.
+    Raises ValueError on an entry that is_rational rejects.
     """
     rows = []
     for row in np.asarray(mat, dtype=object):
         frow = []
         for x in row:
-            if isinstance(x, Fraction):
-                f = x
-            elif isinstance(x, (int, np.integer)):
-                f = Fraction(int(x))
-            else:
-                xf = float(x)
-                if not math.isfinite(xf):
-                    raise ValueError("exact mode: non-finite entry")
-                f = Fraction(xf)
-            if f.denominator > _MAX_DENOMINATOR:
+            f = _fraction(x)
+            if f is None:
                 raise ValueError(
-                    "exact mode: entry %r is not a small-denominator rational" % (x,))
+                    "exact mode: entry %r is not a finite small-denominator rational" % (x,))
             frow.append(f)
         rows.append(frow)
     den = 1

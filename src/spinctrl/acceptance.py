@@ -272,9 +272,10 @@ def criterion_08(tolerance: float = DEFAULT_TOL) -> CriterionResult:
                      f"float closure dimension {dim} < {N * N}")
     for k, h0, h1, vd in family:
         N = 2 * k
-        dim = lie_closure([h0, h1], mode="exact").dimension
+        exact = verdict(lie_closure([h0, h1], mode="exact"), N)
+        dim = exact.dimension
         want = k * (2 * k + 1) + 1
-        controllable = dim >= N * N - 1
+        controllable = exact.controllable
         line = (f"half-chain N={N}, controls 1..{k}, kappa=0.0: exact closure "
                 f"dimension {dim} {'==' if dim == want else '!='} "
                 f"k(2k+1)+1 = {want}, float {vd.dimension}, "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hamiltonian import single_excitation
 from .network import make_chain
-from .symmetry import dark_states
+from .symmetry import _eigen_groups, dark_states
 
 _POLE_TOL = 1e-12
 _DEDUP_TOL = 1e-10
@@ -61,15 +61,11 @@ def control_site_residual(N: int, kappa: float, k: int) -> float:
     w, v = np.linalg.eigh(sub.h0)
     scale = max(1.0, float(np.abs(w).max()))
     best = np.inf
-    lo = 0
-    for i in range(1, N + 1):
-        if i == N or w[i] - w[i - 1] > 1e-10 * scale:
-            # a degenerate eigenspace always contains a zero of one coordinate
-            if i - lo >= 2:
-                best = 0.0
-            else:
-                best = min(best, float(abs(v[k - 1, lo])))
-            lo = i
+    for lo, hi in _eigen_groups(w, 1e-10 * scale):
+        # a degenerate eigenspace always contains a zero of one coordinate
+        if hi - lo >= 2:
+            return 0.0
+        best = min(best, float(abs(v[k - 1, lo])))
     return best
 
 

@@ -17,9 +17,9 @@ from .report import analyze, reproduce_table
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="closure rank tolerance (float mode)")
-    p.add_argument("--exact", action="store_true",
-                   help="close the algebra in exact rational arithmetic")
+                   help="closure rank tolerance, for float closures only (a network "
+                        "whose Hamiltonian entries are all small-denominator "
+                        "rationals is closed exactly)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the generic-element draws")
     p.add_argument("--json", dest="json_out", metavar="PATH",
@@ -123,9 +123,8 @@ def _print_analysis(rep) -> None:
 
 
 def _run_analysis(spec, args) -> int:
-    rep = analyze(spec, tolerance=args.tol,
-                  mode="exact" if args.exact else "float",
-                  seed=args.seed, skip_closure_above=args.skip_closure_above)
+    rep = analyze(spec, tolerance=args.tol, seed=args.seed,
+                  skip_closure_above=args.skip_closure_above)
     if args.json_out != "-":  # '-' means: stdout carries only the JSON
         _print_analysis(rep)
     _emit_json(rep.to_dict(), args.json_out)

@@ -34,6 +34,8 @@ class NetworkSpec:
         n = self.node_count
         if n < 1:
             raise InvalidNetworkError("node_count: must be >= 1")
+        if not math.isfinite(self.kappa):
+            raise InvalidNetworkError(f"kappa: non-finite value {self.kappa!r}")
         # canonical order makes serialization round-trips literal identities
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "controls", tuple(sorted(self.controls)))
@@ -49,6 +51,8 @@ class NetworkSpec:
                 raise InvalidNetworkError(f"edges[{i}]: duplicate edge ({m}, {nn})")
             if g == 0:
                 raise InvalidNetworkError(f"edges[{i}]: zero coupling (drop the edge instead)")
+            if not math.isfinite(g):
+                raise InvalidNetworkError(f"edges[{i}]: non-finite coupling {g!r}")
             seen.add((m, nn))
         if not self.controls:
             raise InvalidNetworkError("controls: must be nonempty")
@@ -212,7 +216,7 @@ def parse_network(text: str) -> NetworkSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise InvalidNetworkError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InvalidNetworkError("top level: expected a JSON object")
@@ -221,16 +225,21 @@ def parse_network(text: str) -> NetworkSpec:
     if not isinstance(topo, dict) or "type" not in topo:
         raise InvalidNetworkError("topology: expected object with a 'type' field")
     ttype = topo["type"]
-    kappa = doc.get("kappa", 0.0)
-    if not isinstance(kappa, (int, float)):
-        raise InvalidNetworkError("kappa: expected a number")
+    kappa = _parse_number(doc.get("kappa", 0.0), "kappa")
 
     if ttype == "chain" and "length" in topo:
         length = topo["length"]
         if not isinstance(length, int) or length < 2:
             raise InvalidNetworkError("topology.length: expected integer >= 2")
         controls = _parse_controls(doc, length)
-        return make_chain(length, topo.get("couplings", "uniform"), kappa, controls)
+        couplings = topo.get("couplings", "uniform")
+        if not isinstance(couplings, str):
+            if not isinstance(couplings, list):
+                raise InvalidNetworkError(
+                    "topology.couplings: expected \"uniform\" or a list of numbers")
+            couplings = [_parse_number(g, f"topology.couplings[{i}]")
+                         for i, g in enumerate(couplings)]
+        return make_chain(length, couplings, kappa, controls)
 
     if "nodes" not in doc:
         raise InvalidNetworkError("nodes: missing")
@@ -245,17 +254,32 @@ def parse_network(text: str) -> NetworkSpec:
         if not (isinstance(e, list) and len(e) == 3):
             raise InvalidNetworkError(f"edges[{i}]: expected [m, n, gamma]")
         m, nn, g = e
-        if not (isinstance(m, int) and isinstance(nn, int) and isinstance(g, (int, float))):
+        if not (isinstance(m, int) and isinstance(nn, int)):
             raise InvalidNetworkError(f"edges[{i}]: expected [int, int, number]")
+        g = _parse_number(g, f"edges[{i}][2]")
         if m > nn:
             m, nn = nn, m
-        edges.append((m, nn, float(g)))
+        edges.append((m, nn, g))
     controls = _parse_controls(doc, n)
     lengths = topo.get("lengths")
     if lengths is not None:
-        lengths = tuple(int(x) for x in lengths)
-    return NetworkSpec(node_count=n, edges=tuple(sorted(edges)), kappa=float(kappa),
+        if not isinstance(lengths, list):
+            raise InvalidNetworkError("topology.lengths: expected a list of integers")
+        for i, x in enumerate(lengths):
+            if not isinstance(x, int):
+                raise InvalidNetworkError(f"topology.lengths[{i}]: expected integer")
+        lengths = tuple(lengths)
+    return NetworkSpec(node_count=n, edges=tuple(sorted(edges)), kappa=kappa,
                        controls=controls, topology=ttype, star_lengths=lengths)
+
+
+def _parse_number(x, path: str) -> float:
+    if not isinstance(x, (int, float)):
+        raise InvalidNetworkError(f"{path}: expected a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidNetworkError(f"{path}: out of float range") from None
 
 
 def _parse_controls(doc, n: int) -> tuple[int, ...]:

@@ -1,7 +1,10 @@
 """Analysis pipeline and table regeneration.
 
 analyze() runs the detectors and the closure over one network and bundles
-the results with consistency flags. reproduce_table() recomputes a bundled
+the results with consistency flags. The closure arithmetic follows from the
+network: exact when every entry of h0 and h1 is a small-denominator rational
+(the rule _exact.integerize applies), so the rank is certified; float with
+the given tolerance otherwise. reproduce_table() recomputes a bundled
 reference table from scratch and diffs it row by row; branch-table rows are
 closed in exact mode (their data is integer, so ranks are certified), with
 a float cross-check recorded per row.
@@ -15,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import reference
+from . import _exact, reference
 from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
                        star_controllable_conjecture, xx_controllable)
 from .hamiltonian import second_excitation_chain, single_excitation
@@ -48,23 +51,32 @@ class AnalysisReport:
         return asdict(self)
 
 
-def analyze(spec: NetworkSpec, tolerance: float = 1e-6, mode: str = "float",
-            seed: int = 0, skip_closure_above: int = 40) -> AnalysisReport:
-    """Full pipeline: subspace Hamiltonians, detectors, closure, predicates."""
+def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
+            skip_closure_above: int = 40) -> AnalysisReport:
+    """Full pipeline: subspace Hamiltonians, detectors, closure, predicates.
+
+    The closure runs once, in exact arithmetic when _exact.is_rational
+    accepts both h0 and h1 (closure["mode"] == "exact", a certified rank)
+    and in float arithmetic with rank tolerance `tolerance` otherwise.
+    timings holds the seconds spent in each stage and each detector.
+    """
     timings = {}
-    t0 = time.perf_counter()
-    sub = single_excitation(spec)
+
+    def timed(key, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        timings[key] = time.perf_counter() - t0
+        return out
+
+    sub = timed("hamiltonian", single_excitation, spec)
     h0, h1 = sub.h0, sub.h1
     d = sub.dimension
-    timings["hamiltonian"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    comm = commutant(h0, h1, SYMMETRY_TOL)
-    dark = dark_states(h0, spec.controls, DARK_TOL)
-    anti = internal_symmetry(h0, h1, SYMMETRY_TOL)
-    autos = graph_automorphisms(spec)
-    blocks = decompose(h0, h1, comm, SYMMETRY_TOL, seed=seed)
-    timings["symmetry"] = time.perf_counter() - t0
+    comm = timed("commutant", commutant, h0, h1, SYMMETRY_TOL)
+    dark = timed("dark_states", dark_states, h0, spec.controls, DARK_TOL)
+    anti = timed("internal_symmetry", internal_symmetry, h0, h1, SYMMETRY_TOL)
+    autos = timed("automorphisms", graph_automorphisms, spec)
+    blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL, seed=seed)
 
     t0 = time.perf_counter()
     closure_skipped = d > skip_closure_above
@@ -73,6 +85,7 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, mode: str = "float",
                         "reason": f"d = {d} exceeds cap {skip_closure_above}"}
         vd = None
     else:
+        mode = "exact" if _exact.is_rational(h0) and _exact.is_rational(h1) else "float"
         res = lie_closure([h0, h1], mode=mode, tolerance=tolerance)
         vd = verdict(res, d)
         closure_info = {

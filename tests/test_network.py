@@ -172,3 +172,58 @@ class TestSerialization:
         kappa = data.draw(st.floats(-2, 2, allow_nan=False))
         spec = NetworkSpec(n, edges, kappa, controls)
         assert parse_network(serialize_network(spec)) == spec
+
+
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(), st.just(10 ** 400))
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+                  st.text(max_size=3), st.lists(st.integers(-2, 9), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    keys = list(node) if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else []
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed network document with at most one value replaced by
+    junk or deleted. Sizes stay small: a well-formed network of huge length
+    is valid input whose cost grows with it, which is not what this is about."""
+    n = draw(st.integers(2, 6))
+    controls = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        couplings = draw(st.one_of(st.just("uniform"),
+                                   st.lists(_NUMBER, min_size=n - 1, max_size=n - 1)))
+        doc = {"kappa": draw(_NUMBER), "controls": controls,
+               "topology": {"type": "chain", "length": n, "couplings": couplings}}
+    else:
+        edges = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                        _NUMBER).map(list), max_size=5))
+        lengths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+        doc = {"kappa": draw(_NUMBER), "nodes": n, "edges": edges, "controls": controls,
+               "topology": {"type": draw(st.sampled_from(["star", "general", "chain"])),
+                            "lengths": lengths}}
+    slots = list(_slots(doc))
+    pick = draw(st.integers(0, len(slots)))
+    if pick < len(slots):
+        container, key = slots[pick]
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_documents(), _JUNK))
+def test_parse_network_fuzz(doc):
+    try:
+        spec = parse_network(json.dumps(doc))
+    except InvalidNetworkError:
+        return
+    assert isinstance(spec, NetworkSpec)

@@ -33,6 +33,7 @@ class TestAnalyze:
         assert rep.dark_states["count"] >= 1
         assert rep.analytic["kappa_is_symmetric"] is True
         assert not rep.closure["controllable"]
+        assert rep.closure["mode"] == "float"  # the surd entries are not rational
 
     def test_closure_cap(self):
         rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)),
@@ -41,9 +42,24 @@ class TestAnalyze:
         assert rep.consistency["closure_vs_predicate"] is None
 
     def test_exact_mode(self):
-        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)), mode="exact")
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
         assert rep.closure["dimension"] == 36
         assert rep.closure["mode"] == "exact"
+
+    def test_end_control_chain_23(self):
+        # a float closure at tolerance 1e-6 inflates this algebra to 529 = d^2;
+        # the integer network is closed exactly instead
+        rep = analyze(make_chain(23, "uniform", 0.0, controls=(3,)))
+        assert rep.closure["dimension"] == 442
+        assert rep.closure["mode"] == "exact"
+        assert rep.consistency["closure_vs_predicate"] is True
+        assert rep.consistency["closure_within_block_bound"] is True
+
+    def test_timings_per_detector(self):
+        rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
+        assert set(rep.timings) == {
+            "hamiltonian", "commutant", "dark_states", "internal_symmetry",
+            "automorphisms", "decompose", "closure"}
 
     def test_report_serializes(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
@@ -176,8 +192,7 @@ class TestCli:
         assert doc["all_match"] is True
 
     def test_exact_flag(self, capsys):
-        rc = main(["chain", "--length", "5", "--kappa", "1", "--control", "1",
-                   "--exact"])
+        rc = main(["chain", "--length", "5", "--kappa", "1", "--control", "1"])
         assert rc == 0
         assert "[exact]" in capsys.readouterr().out
 
@@ -198,5 +213,26 @@ class TestCli:
         import spinctrl.symmetry
         monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 1000)
         rc = main(["star", "--lengths", ",".join(["2"] * 11)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"controls": [1], "topology": {"type": "chain", "length": 3, "couplings": 5}},
+        {"controls": [1], "topology": {"type": "chain", "length": 3,
+                                       "couplings": [1, None]}},
+        {"controls": [1], "topology": {"type": "chain", "length": 3,
+                                       "couplings": [1, math.nan]}},
+        {"kappa": math.nan, "controls": [1], "topology": {"type": "chain", "length": 3}},
+        {"kappa": math.inf, "nodes": 2, "edges": [[1, 2, 1.0]], "controls": [1]},
+        {"nodes": 2, "edges": [[1, 2, math.nan]], "controls": [1]},
+        {"nodes": 3, "edges": [[1, 2, 1.0], [1, 3, 1.0]], "controls": [1],
+         "topology": {"type": "star", "lengths": [[2], 2]}},
+        {"nodes": 3, "edges": [[1, 2, 1.0], [1, 3, 1.0]], "controls": [1],
+         "topology": {"type": "star", "lengths": 7}},
+    ])
+    def test_malformed_network_exit(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", "--input", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
