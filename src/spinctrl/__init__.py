@@ -13,8 +13,8 @@ from .lie import ControllabilityVerdict, LieClosureResult, lie_closure, verdict
 from .network import (InvalidNetworkError, NetworkSpec, StarDescriptor, make_chain,
                       make_star, parse_network, serialize_network)
 from .report import AnalysisReport, TableReport, analyze, reproduce_table
-from .symmetry import (AnticommutantResult, CommutantBasis, DarkStateSet,
-                       DecompositionReport, InternalSymmetryCertificate,
+from .symmetry import (AnticommutantResult, AutomorphismGenerators, CommutantBasis,
+                       DarkStateSet, DecompositionReport, InternalSymmetryCertificate,
                        certify_internal_symmetry, commutant, dark_states,
                        decompose, graph_automorphisms, internal_symmetry,
                        permutation_matrix)
@@ -22,7 +22,8 @@ from .symmetry import (AnticommutantResult, CommutantBasis, DarkStateSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "AnticommutantResult", "BetheEnumeration", "BetheSolution",
+    "AnalysisReport", "AnticommutantResult", "AutomorphismGenerators",
+    "BetheEnumeration", "BetheSolution",
     "CommutantBasis", "ControllabilityVerdict", "DarkStateSet",
     "DecompositionReport", "InternalSymmetryCertificate", "InvalidNetworkError",
     "LieClosureResult",

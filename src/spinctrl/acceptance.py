@@ -333,6 +333,18 @@ def criterion_10(seed: int) -> CriterionResult:
                            not bad, lines)
 
 
+def _random_chains(seed: int):
+    """Criterion 11's 25 connected chains (N, couplings, kappa, k) with
+    random couplings, anisotropy and control site."""
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        N = int(rng.integers(3, 11))
+        couplings = rng.uniform(0.2, 2.0, N - 1)
+        kappa = float(rng.uniform(-2.0, 2.0))
+        k = int(rng.integers(1, N + 1))
+        yield N, couplings, kappa, k
+
+
 def criterion_11(seed: int) -> CriterionResult:
     """No internal symmetries for single-node controls on connected chains
     with N >= 3; the disconnected two-node fixture has an invertible one.
@@ -351,12 +363,7 @@ def criterion_11(seed: int) -> CriterionResult:
         anti = internal_symmetry(h0, h1, SYMMETRY_TOL)
         if anti.dimension != 0:
             bad.append(("uniform", N, k, kappa, anti.dimension))
-    rng = np.random.default_rng(seed)
-    for _ in range(25):
-        N = int(rng.integers(3, 11))
-        couplings = rng.uniform(0.2, 2.0, N - 1)
-        kappa = float(rng.uniform(-2.0, 2.0))
-        k = int(rng.integers(1, N + 1))
+    for N, couplings, kappa, k in _random_chains(seed):
         count += 1
         h0, h1 = _chain_pair(N, couplings, kappa, (k,))
         anti = internal_symmetry(h0, h1, SYMMETRY_TOL)

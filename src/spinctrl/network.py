@@ -12,8 +12,20 @@ import math
 from dataclasses import dataclass, field
 
 
+# Largest network accepted. The detectors' worst case is a highly degenerate
+# spectrum (no edges, or a star of equal two-node branches): the commutant
+# then has about d^2 elements of d^2 entries each. analyze() took 22 s and
+# 0.46 GB on the 50-node network without edges (one core).
+MAX_NODES = 50
+
+
 class InvalidNetworkError(ValueError):
     """Raised when a network description violates a structural invariant."""
+
+
+def _check_size(n: int, path: str) -> None:
+    if n > MAX_NODES:
+        raise InvalidNetworkError(f"{path}: more than {MAX_NODES} nodes")
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,7 @@ class NetworkSpec:
         n = self.node_count
         if n < 1:
             raise InvalidNetworkError("node_count: must be >= 1")
+        _check_size(n, "node_count")
         if not math.isfinite(self.kappa):
             raise InvalidNetworkError(f"kappa: non-finite value {self.kappa!r}")
         # canonical order makes serialization round-trips literal identities
@@ -121,6 +134,7 @@ class StarDescriptor:
         for i, lp in enumerate(self.branch_lengths):
             if lp < 2:
                 raise InvalidNetworkError(f"branch_lengths[{i}]: length {lp} < 2")
+        _check_size(self.node_count, "branch_lengths")
         cs = self.control_site
         if cs != "center":
             if not (isinstance(cs, tuple) and len(cs) == 2):
@@ -147,6 +161,7 @@ def make_chain(length: int, couplings="uniform", kappa: float = 0.0,
     """
     if length < 2:
         raise InvalidNetworkError("length: chain needs N >= 2")
+    _check_size(length, "length")
     if isinstance(couplings, str):
         if couplings != "uniform":
             raise InvalidNetworkError(f"couplings: unknown mode {couplings!r}")
@@ -212,7 +227,8 @@ def parse_network(text: str) -> NetworkSpec:
 
     Chains may be declared by {"topology": {"type": "chain", "length": N,
     "couplings": "uniform" | [...]}} without an edge list; the parser
-    expands them. Validation errors carry the offending field path.
+    expands them. A network has at most MAX_NODES nodes. Validation errors
+    carry the offending field path.
     """
     try:
         doc = json.loads(text)
@@ -231,6 +247,7 @@ def parse_network(text: str) -> NetworkSpec:
         length = topo["length"]
         if not isinstance(length, int) or length < 2:
             raise InvalidNetworkError("topology.length: expected integer >= 2")
+        _check_size(length, "topology.length")
         controls = _parse_controls(doc, length)
         couplings = topo.get("couplings", "uniform")
         if not isinstance(couplings, str):
@@ -246,6 +263,7 @@ def parse_network(text: str) -> NetworkSpec:
     n = doc["nodes"]
     if not isinstance(n, int) or n < 1:
         raise InvalidNetworkError("nodes: expected positive integer")
+    _check_size(n, "nodes")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise InvalidNetworkError("edges: expected a list")

@@ -139,7 +139,8 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
             "has_invertible_solution": anti.has_internal_symmetry,
             "type": anti.symmetry_type,
         },
-        automorphisms={"count": len(autos), "generators": [list(p) for p in autos]},
+        automorphisms={"count": autos.order - 1,
+                       "generators": [list(p) for p in autos]},
         block_sizes=list(blocks.block_sizes),
         analytic=analytic,
         consistency=consistency,

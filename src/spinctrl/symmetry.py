@@ -5,8 +5,10 @@ A Hermitian S commuting with both Hamiltonians splits the space into
 invariant blocks; for real symmetric h the real matrix solutions of
 [h, M] = 0 decompose into a symmetric and an antisymmetric part that each
 commute, and M -> sym(M) + i*antisym(M) is a bijection onto the Hermitian
-commutant, so the real nullspace dimension of the stacked commutator system
-already is the Hermitian commutant dimension.
+commutant, so the dimension of the real solution space already is the
+Hermitian commutant dimension. The commutant and the anticommutant are
+solved in the eigenbasis of the drift, where it leaves only the entries
+inside eigenspaces (or pairing opposite eigenvalues) free.
 """
 
 from __future__ import annotations
@@ -77,18 +79,19 @@ class DecompositionReport:
 def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> CommutantBasis:
     """Hermitian matrices commuting with both h0 and h1.
 
-    Computed as the nullspace of the stacked real (2d^2) x (d^2) system
-    M -> ([h0, M], [h1, M]) over all real matrices M.
+    In the eigenbasis V of h0 a real M commutes with h0 iff M' = V^T M V
+    is block diagonal over the eigenspaces (eigenvalues grouped as in
+    dark_states), so only those sum(m_i^2) entries are unknowns. They are
+    the nullspace of M' -> [V^T h1 V, M']; each solution maps back as
+    V M' V^T. Both maps are isometries, so the basis stays orthonormal.
     """
-    d = h0.shape[0]
-    eye = np.eye(d)
-    stacked = np.vstack([np.kron(h, eye) - np.kron(eye, h) for h in (h0, h1)])
-    null = _nullspace(stacked, tolerance)
-    herm = []
-    for col in null.T:
-        m = col.reshape(d, d)
-        herm.append(0.5 * (m + m.T) + 0.5j * (m - m.T))
-    herm = _orthonormalize_hermitian(herm)
+    w, v = np.linalg.eigh(h0)
+    groups = np.zeros(len(w), dtype=int)
+    for label, (lo, hi) in enumerate(_eigen_groups(w, _DEGENERACY_TOL * _scale(w))):
+        groups[lo:hi] = label
+    sols = _eigenbasis_solutions(v, groups[:, None] == groups[None, :], h1, -1.0,
+                                 tolerance)
+    herm = [0.5 * (m + m.T) + 0.5j * (m - m.T) for m in sols]
     return CommutantBasis(dimension=len(herm), basis=herm,
                           has_external_symmetry=len(herm) > 1)
 
@@ -103,10 +106,9 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8) -> DarkStateS
     d = h0.shape[0]
     ctrl = sorted(int(k) - 1 for k in controls)
     w, v = np.linalg.eigh(h0)
-    scale = max(1.0, float(np.abs(w).max()) if d else 1.0)
     vecs = []
     vals = []
-    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * scale):
+    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * _scale(w)):
         block = v[:, lo:hi]
         rows = block[ctrl, :]
         _, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -129,25 +131,24 @@ def internal_symmetry(h0: np.ndarray, h1: np.ndarray,
     """Solutions of Hb^T S + S Hb = 0 for the traceless shifts of h0 and h1.
 
     Solved over real S (the Hamiltonians are real symmetric, so the real and
-    imaginary parts of any complex solution solve separately). Solutions
-    split by transpose parity: symmetric solutions signal orthogonal type,
-    antisymmetric ones symplectic; an internal symmetry needs an invertible
-    solution.
+    imaginary parts of any complex solution solve separately). In the
+    eigenbasis V of Hb0, S' = V^T S V may be nonzero only at the entries
+    (i, j) with lambda_i + lambda_j = 0 (within the eigenvalue gap of
+    dark_states); those unknowns are constrained by the Hb1 anticommutator
+    and each solution maps back as V S' V^T. Solutions split by transpose
+    parity: symmetric solutions signal orthogonal type, antisymmetric ones
+    symplectic; an internal symmetry needs an invertible solution.
     """
     d = h0.shape[0]
     eye = np.eye(d)
-    out_basis: list[np.ndarray] = []
-    blocks = []
-    for h in (h0, h1):
-        hb = h - (np.trace(h) / d) * eye
-        blocks.append(np.kron(hb, eye) + np.kron(eye, hb))
-    null = _nullspace(np.vstack(blocks), tolerance)
-    dim = null.shape[1]
+    hb0, hb1 = (h - (np.trace(h) / d) * eye for h in (h0, h1))
+    w, v = np.linalg.eigh(hb0)
+    paired = np.abs(w[:, None] + w[None, :]) <= _DEGENERACY_TOL * _scale(w)
+    sols = _eigenbasis_solutions(v, paired, hb1, 1.0, tolerance)
+    dim = len(sols)
     if dim == 0:
         return AnticommutantResult(dimension=0, has_internal_symmetry=False,
                                    symmetry_type=None)
-    sols = [col.reshape(d, d) for col in null.T]
-    out_basis = sols
     sym_part = [0.5 * (s + s.T) for s in sols]
     anti_part = [0.5 * (s - s.T) for s in sols]
     has_sym = _matrix_rank_of_span(sym_part, tolerance) > 0
@@ -168,7 +169,7 @@ def internal_symmetry(h0: np.ndarray, h1: np.ndarray,
     else:
         stype = "symplectic"
     return AnticommutantResult(dimension=dim, has_internal_symmetry=invertible,
-                               symmetry_type=stype, basis=out_basis)
+                               symmetry_type=stype, basis=sols)
 
 
 def certify_internal_symmetry(s, h0: np.ndarray,
@@ -194,13 +195,34 @@ def certify_internal_symmetry(s, h0: np.ndarray,
         anticommutes=anticommutes)
 
 
-def graph_automorphisms(spec: NetworkSpec) -> list[tuple[int, ...]]:
-    """Non-identity node permutations preserving weighted edges and controls.
+class AutomorphismGenerators(list):
+    """Sorted generating set of a graph's automorphism group.
 
-    Backtracking over candidate images with iterated color refinement
-    (control flag, degree, incident-weight profile). Permutations are
-    returned as tuples p with p[i-1] = image of node i. The search visits at
-    most _AUTOMORPHISM_NODE_CAP partial assignments and raises beyond that.
+    A list of permutation tuples p with p[i-1] = image of node i, none of
+    them the identity and at most n - 1 of them; `order` is the order of
+    the group they generate, identity included.
+    """
+
+    def __init__(self, generators, order: int):
+        super().__init__(sorted(generators))
+        self.order = order
+
+
+def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
+    """Generators of the node permutations preserving weighted edges and
+    controls, with the group order.
+
+    Iterated color refinement (control flag, degree, incident-weight
+    profile) fixes a base: the nodes sorted by color. The stabiliser chain
+    is built from the last base point to the first. At base point b_i the
+    generators found so far all fix b_1..b_{i-1}; for each node c of b_i's
+    color outside the orbit of b_i under them, one backtracking search with
+    b_1..b_{i-1} fixed and b_i -> c either finds an automorphism, which
+    becomes a generator, or proves c lies outside the orbit. Each generator
+    joins two orbits of the group found so far, so there are at most n - 1,
+    and the group order is the product of the basic orbit sizes
+    (orbit-stabiliser). The searches visit at most _AUTOMORPHISM_NODE_CAP
+    partial assignments in all and raise beyond that.
     """
     n = spec.node_count
     weights = {}
@@ -225,51 +247,80 @@ def graph_automorphisms(spec: NetworkSpec) -> list[tuple[int, ...]]:
             break
         color = relabeled
 
-    order = sorted(range(1, n + 1), key=lambda v: (color[v], v))
-    found: list[tuple[int, ...]] = []
+    base = sorted(range(1, n + 1), key=lambda v: (color[v], v))
+    generators: list[tuple[int, ...]] = []
+    group_order = 1
     mapping: dict[int, int] = {}
     used: set[int] = set()
     visited = 0
 
-    def extend(pos: int) -> None:
+    def fits(v: int, img: int) -> bool:
+        if img in used or color[img] != color[v]:
+            return False
+        for w, g in adj[v]:
+            if w in mapping:
+                gw = weights.get((img, mapping[w]))
+                if gw is None or wclasses[gw] != wclasses[g]:
+                    return False
+        deg_mapped = sum(1 for w, _ in adj[v] if w in mapping)
+        deg_img_mapped = sum(1 for w, _ in adj[img] if w in used)
+        return deg_mapped == deg_img_mapped
+
+    def assign(v: int, img: int) -> None:
+        mapping[v] = img
+        used.add(img)
+
+    def extend(pos: int) -> bool:
+        """Complete the mapping from base[pos] on; True once it is full."""
         nonlocal visited
         visited += 1
         if visited > _AUTOMORPHISM_NODE_CAP:
             raise RuntimeError("automorphism search cap exceeded "
                                f"({_AUTOMORPHISM_NODE_CAP} nodes)")
         if pos == n:
-            perm = tuple(mapping[v] for v in range(1, n + 1))
-            if perm != tuple(range(1, n + 1)):
-                found.append(perm)
-            return
-        v = order[pos]
+            return True
+        v = base[pos]
         for img in range(1, n + 1):
-            if img in used or color[img] != color[v]:
-                continue
-            ok = True
-            for w, g in adj[v]:
-                if w in mapping:
-                    gw = weights.get((img, mapping[w]))
-                    if gw is None or wclasses[gw] != wclasses[g]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            deg_mapped = sum(1 for w, _ in adj[v] if w in mapping)
-            deg_img_mapped = sum(1 for w, _ in adj[img] if w in used)
-            if deg_mapped != deg_img_mapped:
-                continue
-            mapping[v] = img
-            used.add(img)
-            extend(pos + 1)
-            used.discard(img)
-            del mapping[v]
+            if fits(v, img):
+                assign(v, img)
+                if extend(pos + 1):
+                    return True
+                used.discard(img)
+                del mapping[v]
+        return False
 
     try:
-        extend(0)
+        for i in range(n - 1, -1, -1):
+            b = base[i]
+            orbit = _orbit(b, generators)
+            for c in base[i + 1:]:
+                if c in orbit or color[c] != color[b]:
+                    continue
+                mapping.clear()
+                used.clear()
+                for v in base[:i]:
+                    assign(v, v)
+                if fits(b, c):
+                    assign(b, c)
+                    if extend(i + 1):
+                        generators.append(tuple(mapping[v] for v in range(1, n + 1)))
+                        orbit = _orbit(b, generators)
+            group_order *= len(orbit)
     finally:
         del extend  # self-reference: a cycle that would keep the search state alive
-    return sorted(found)
+    return AutomorphismGenerators(generators, group_order)
+
+
+def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            if g[x - 1] not in orbit:
+                orbit.add(g[x - 1])
+                frontier.append(g[x - 1])
+    return orbit
 
 
 def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
@@ -303,8 +354,7 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
         for basis_cols in projectors:
             sub = basis_cols.conj().T @ generic @ basis_cols
             w, v = np.linalg.eigh(sub)
-            gscale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-            for lo, hi in _eigen_groups(w, 1e-6 * gscale):
+            for lo, hi in _eigen_groups(w, 1e-6 * _scale(w)):
                 refined.append(basis_cols @ v[:, lo:hi])
         projectors = refined
         worst = max(_off_block_residual(h, projectors) for h in (h0, h1))
@@ -321,23 +371,44 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
 
 def _nullspace(a: np.ndarray, tolerance: float) -> np.ndarray:
     """Columns spanning {x : a x = 0}, SVD-based, threshold relative to s_max."""
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
     cols = a.shape[1]
-    smax = s.max() if s.size else 0.0
-    rank = int(np.sum(s > tolerance * max(smax, 1.0)))
-    return vt[rank:].T.conj() if rank < cols else np.zeros((cols, 0))
+    if not a.size:
+        return np.eye(cols)
+    # a tall system needs only the thin factors: vt is then cols x cols already
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
+    rank = int(np.sum(s > tolerance * max(s.max(), 1.0)))
+    return vt[rank:].T.conj()
 
 
-def _orthonormalize_hermitian(mats: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for m in mats:
-        v = m.copy()
-        for b in out:
-            v = v - np.real(np.sum(b.conj() * v)) * b
-        norm = np.sqrt(np.real(np.sum(v.conj() * v)))
-        if norm > 1e-12:
-            out.append(v / norm)
+def _eigenbasis_solutions(v: np.ndarray, support: np.ndarray, h: np.ndarray,
+                          sign: float, tolerance: float) -> list[np.ndarray]:
+    """Real X with X' = v^T X v zero off `support` and b X' + sign X' b = 0,
+    where b = v^T h v; returned as v X' v^T, orthonormal in Frobenius norm.
+
+    The unknowns are the entries X'[r, s] on the support. Unknown (r, s)
+    enters (b X')[p, s] with coefficient b[p, r] and (X' b)[r, q] with
+    b[s, q], so the system has d^2 rows and one column per unknown.
+    """
+    d = v.shape[0]
+    rows, cols = np.nonzero(support)
+    b = v.T @ h @ v
+    system = np.zeros((d, d, rows.size))
+    unknown = np.arange(rows.size)
+    system[:, cols, unknown] = b[:, rows]
+    system[rows, :, unknown] += sign * b[cols, :]
+    null = _nullspace(system.reshape(d * d, rows.size), tolerance)
+    out = []
+    for x in null.T:
+        xp = np.zeros((d, d))
+        xp[rows, cols] = x
+        out.append(v @ xp @ v.T)
     return out
+
+
+def _scale(w: np.ndarray) -> float:
+    """Spectral scale of eigenvalues w, at least 1: eigenvalue gaps are
+    measured relative to it."""
+    return max(1.0, float(np.abs(w).max()) if w.size else 1.0)
 
 
 def _eigen_groups(w: np.ndarray, gap: float):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinctrl.network import (InvalidNetworkError, NetworkSpec, StarDescriptor,
+from spinctrl.network import (MAX_NODES, InvalidNetworkError, NetworkSpec, StarDescriptor,
                               make_chain, make_star, parse_network,
                               serialize_network)
 
@@ -117,6 +117,17 @@ class TestValidation:
         spec = NetworkSpec(3, ((1, 2, 1.0),), 0.0, (1,))
         assert not spec.is_connected()
         assert not spec.is_chain()
+
+    def test_size_limit(self):
+        assert make_chain(MAX_NODES).node_count == MAX_NODES
+        assert NetworkSpec(MAX_NODES, (), 0.0, (1,)).node_count == MAX_NODES
+        for build, path in ((lambda: make_chain(MAX_NODES + 1), "length"),
+                            (lambda: make_chain(10**400), "length"),
+                            (lambda: NetworkSpec(MAX_NODES + 1, (), 0.0, (1,)), "node_count"),
+                            (lambda: StarDescriptor((2,) * MAX_NODES), "branch_lengths"),
+                            (lambda: StarDescriptor((10**9, 2)), "branch_lengths")):
+            with pytest.raises(InvalidNetworkError, match=f"^{path}: more than"):
+                build()
 
 
 class TestSerialization:

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinctrl.cli import main
-from spinctrl.network import StarDescriptor, make_chain, make_star
+from spinctrl.network import MAX_NODES, StarDescriptor, make_chain, make_star
 from spinctrl.report import analyze, reproduce_table
 
 
@@ -208,13 +209,18 @@ class TestCli:
         assert "out of range" in capsys.readouterr().err
 
     def test_automorphism_cap_exit(self, monkeypatch, capsys):
-        # the eleven-branch star exceeds the search cap; a lowered cap keeps
-        # the test fast and takes the same path
+        # the search of the eleven-branch star visits 75 partial assignments;
+        # a cap lowered below that takes the path a harder graph would take
         import spinctrl.symmetry
-        monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 1000)
+        monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 10)
         rc = main(["star", "--lengths", ",".join(["2"] * 11)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eleven_branch_star_group_order(self, capsys):
+        rc = main(["star", "--lengths", ",".join(["2"] * 11)])
+        assert rc == 0
+        assert "graph automorphisms (non-identity): 39916799" in capsys.readouterr().out
 
     @pytest.mark.parametrize("doc", [
         {"controls": [1], "topology": {"type": "chain", "length": 3, "couplings": 5}},
@@ -234,5 +240,31 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         rc = main(["analyze", "--input", str(path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"controls": [1], "topology": {"type": "chain", "length": 10**400}},
+        {"controls": [1], "topology": {"type": "chain", "length": 10**9}},
+        {"controls": [1], "topology": {"type": "chain", "length": MAX_NODES + 1}},
+        {"nodes": 10**9, "edges": [[1, 2, 1.0]], "controls": [1]},
+        {"nodes": 10**400, "edges": [[1, 2, 1.0]], "controls": [1]},
+    ])
+    def test_oversized_network_exit(self, doc, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            rc = main(["analyze", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"more than {MAX_NODES} nodes" in err
+        assert peak < 1_000_000  # nothing of the requested size was allocated
+
+    def test_oversized_chain_flag_exit(self, capsys):
+        rc = main(["chain", "--length", str(10**9), "--control", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 import spinctrl.symmetry
 
+from conftest import generated_group
 from spinctrl.analytic import half_chain_witness
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
@@ -239,7 +240,9 @@ class TestGraphAutomorphisms:
     def test_three_balanced_branches(self):
         spec = make_star(StarDescriptor((3, 3, 3)), 0.0)
         autos = graph_automorphisms(spec)
-        assert len(autos) == 5  # S3 on branches, minus identity
+        assert autos.order == 6  # S3 on branches
+        group = generated_group(autos, spec.node_count)
+        assert len(group - {tuple(range(1, spec.node_count + 1))}) == 5
 
     def test_search_state_freed_without_gc(self, monkeypatch):
         # the search state must be freed by reference counting alone, both
@@ -248,9 +251,10 @@ class TestGraphAutomorphisms:
         gc.collect()
         gc.disable()
         try:
-            assert len(graph_automorphisms(spec)) == 719
+            assert graph_automorphisms(spec).order == 720
             assert gc.collect() == 0
-            monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 100)
+            # the complete search visits 25 partial assignments
+            monkeypatch.setattr(spinctrl.symmetry, "_AUTOMORPHISM_NODE_CAP", 10)
             with pytest.raises(RuntimeError, match="cap exceeded"):
                 graph_automorphisms(spec)
             assert gc.collect() == 0
