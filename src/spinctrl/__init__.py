@@ -2,10 +2,8 @@
 with local Z-controls."""
 
 from .analytic import (BetheEnumeration, BetheSolution, bethe_symmetric_kappas,
-                       closed_form_eigensystem, half_chain_witness,
-                       heisenberg_controllable,
-                       scan_symmetric_kappas, star_controllable_conjecture,
-                       star_end_control_predicate, xx_controllable,
+                       half_chain_witness, heisenberg_controllable,
+                       star_controllable_conjecture, xx_controllable,
                        xx_symmetry_predicate)
 from .hamiltonian import (SubspaceHamiltonian, control_matrix,
                           second_excitation_chain, single_excitation)
@@ -16,8 +14,7 @@ from .report import AnalysisReport, TableReport, analyze, reproduce_table
 from .symmetry import (AnticommutantResult, AutomorphismGenerators, CommutantBasis,
                        DarkStateSet, DecompositionReport, InternalSymmetryCertificate,
                        certify_internal_symmetry, commutant, dark_states,
-                       decompose, graph_automorphisms, internal_symmetry,
-                       permutation_matrix)
+                       decompose, graph_automorphisms, internal_symmetry)
 
 __version__ = "0.1.0"
 
@@ -29,12 +26,12 @@ __all__ = [
     "LieClosureResult",
     "NetworkSpec", "StarDescriptor", "SubspaceHamiltonian",
     "TableReport", "analyze", "bethe_symmetric_kappas", "certify_internal_symmetry",
-    "closed_form_eigensystem", "commutant", "control_matrix", "dark_states",
+    "commutant", "control_matrix", "dark_states",
     "decompose", "graph_automorphisms", "half_chain_witness",
     "heisenberg_controllable", "internal_symmetry",
     "lie_closure", "make_chain", "make_star", "parse_network",
-    "permutation_matrix", "reproduce_table", "scan_symmetric_kappas",
+    "reproduce_table",
     "second_excitation_chain", "serialize_network", "single_excitation",
-    "star_controllable_conjecture", "star_end_control_predicate",
+    "star_controllable_conjecture",
     "verdict", "xx_controllable", "xx_symmetry_predicate",
 ]

@@ -3,15 +3,27 @@
 Inputs are rescaled to integer matrices (rescaling a generator never changes
 the generated algebra). Every element produced from real-symmetric seeds is
 pure: either i*S with S symmetric, or a real antisymmetric A, and brackets
-map pure elements to pure elements. Independence is decided by fraction-free
-row elimination over the integers, one echelon per parity, so ranks are
-certified rather than thresholded.
+map pure elements to pure elements, so each parity keeps its own echelon.
 
 The closure itself uses the ad-invariance characterization: the algebra
 generated by a set G equals the smallest subspace containing G that is
 invariant under ad_g for every g in G (every bracket is a combination of
 left-nested brackets). Each accepted element is therefore bracketed against
 the generators only, which bounds the work by 2 * dim instead of dim^2 pairs.
+One loop (_close) runs with either of two echelon oracles.
+
+The modular oracle runs first: int64 matrices reduced mod the prime
+_PRIME < 2**25, one preallocated reduced row echelon form per parity.
+Reduction mod p commutes with the bracket, so its rank dim_p is the rank of
+the reduced images of integer nested brackets, and dim_p <= dim_Q. When
+dim_p >= d^2 - 1 the rational closure contains su(d), which has no
+subalgebra of codimension 1; the dimension is then d^2 if some integer seed
+has a nonzero trace (brackets are traceless) and d^2 - 1 otherwise, and the
+elements returned are the integer basis of su(d) or u(d). A smaller dim_p is
+only a lower bound: the big-integer oracle, fraction-free row elimination
+over the integers, then reruns the loop and certifies the rank. The modular
+pass runs only when no int64 sum can overflow, max(d, d(d+1)/2) * (p-1)^2
+< 2**63, and only for d >= 2; otherwise the big-integer oracle runs alone.
 """
 
 from __future__ import annotations
@@ -26,6 +38,11 @@ IMAG = "imag"
 REAL = "real"
 
 _MAX_DENOMINATOR = 1 << 30
+
+# Prime of the modular pass, below 2**25: a product of two residues is below
+# 2**50, so int64 holds any sum of up to 8191 of them.
+_PRIME = 33554393
+_INT64_LIMIT = 1 << 63
 
 
 def is_rational(mat) -> bool:
@@ -149,53 +166,195 @@ class _IntegerEchelon:
         self.rows.sort(key=lambda r: r[0])
 
 
-def _bracket(kind_a: str, a: np.ndarray, kind_b: str, b: np.ndarray):
-    """Bracket of pure elements, up to an irrelevant real scale.
+class _IntegerOracle:
+    """Big-integer arithmetic: elements are content-reduced object matrices,
+    independence is decided by the fraction-free echelons."""
 
-    [iS1, iS2] = -[S1, S2] (antisymmetric), [iS, A] = i[S, A] (symmetric part),
-    [A1, A2] antisymmetric. The stored matrix is the plain matrix commutator.
+    def __init__(self, d: int):
+        self.d = d
+        self.echelons = {IMAG: _IntegerEchelon(), REAL: _IntegerEchelon()}
+
+    @staticmethod
+    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b - b @ a
+
+    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
+        """The matrix to keep when mat is independent of every element added
+        so far (it is then added), else None."""
+        coords = _sym_coords(mat, self.d) if kind == IMAG else _antisym_coords(mat, self.d)
+        echelon = self.echelons[kind]
+        res = echelon.residual(coords)
+        if not any(res):
+            return None
+        echelon.insert(res)
+        return _content_reduce(mat)
+
+
+class _ModularEchelon:
+    """Reduced row echelon form over F_p, preallocated as an int64 array.
+
+    A candidate's residual is one vector-matrix product; an inserted row is
+    scaled to a unit pivot, and its pivot column is eliminated from the
+    other rows. Columns before the first non-pivot column are unit columns
+    of the echelon, and a new row is zero before its pivot, so both steps
+    skip those columns.
     """
-    prod = a @ b - b @ a
-    if kind_a == kind_b:
-        return REAL, prod
-    return IMAG, prod
+
+    def __init__(self, index: tuple[np.ndarray, np.ndarray]):
+        self.index = index  # matrix entries that are the coordinates
+        width = len(index[0])
+        self.rows = np.zeros((width, width), dtype=np.int64)
+        self.pivots = np.zeros(width, dtype=np.intp)
+        self.is_pivot = np.zeros(width + 1, dtype=bool)
+        self.free = 0  # first non-pivot column
+        self.count = 0
+
+    def insert(self, mat: np.ndarray) -> bool:
+        """Add mat's coordinates when they are independent mod p."""
+        vec = mat[self.index]
+        n, lo = self.count, self.free
+        rows = self.rows[:n]
+        if n:
+            vec[lo:] -= vec[self.pivots[:n]] @ rows[:, lo:]
+            vec[lo:] %= _PRIME
+        vec[:lo] = 0
+        lead = np.flatnonzero(vec)
+        if not lead.size:
+            return False
+        piv = int(lead[0])
+        tail = vec[piv:] * pow(int(vec[piv]), -1, _PRIME) % _PRIME
+        if n:
+            block = rows[:, piv:]
+            block -= np.outer(rows[:, piv], tail)
+            block %= _PRIME
+        self.rows[n, piv:] = tail
+        self.pivots[n] = piv
+        self.is_pivot[piv] = True
+        while self.is_pivot[self.free]:
+            self.free += 1
+        self.count = n + 1
+        return True
 
 
-def exact_closure(generators, max_dimension: int):
-    """Closure dimension and basis over the rationals.
+class _ModularOracle:
+    """Arithmetic mod _PRIME on int64 matrices with entries in [0, p)."""
 
-    generators: real symmetric matrices (rational entries), seeded as i*G.
-    Returns (elements, brackets_evaluated, saturated) where elements is a
-    list of (kind, integer matrix).
+    def __init__(self, d: int):
+        self.echelons = {IMAG: _ModularEchelon(np.triu_indices(d)),
+                         REAL: _ModularEchelon(np.triu_indices(d, 1))}
+
+    @staticmethod
+    def reduce(mat: np.ndarray) -> np.ndarray:
+        return (mat % _PRIME).astype(np.int64)
+
+    @staticmethod
+    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a @ b - b @ a) % _PRIME
+
+    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
+        return mat if self.echelons[kind].insert(mat) else None
+
+
+def _modular_fits(d: int) -> bool:
+    """True when no int64 sum of the modular pass can overflow: a matrix
+    product sums d products of residues, an echelon residual at most
+    m = d(d+1)/2 of them, each below (p-1)**2."""
+    return max(d, d * (d + 1) // 2) * (_PRIME - 1) ** 2 < _INT64_LIMIT
+
+
+def _close(seeds, max_dimension: int, oracle):
+    """The ad-invariance loop: each kept element is bracketed with the seeds.
+
+    Returns (elements, brackets_evaluated), elements as (kind, matrix) in
+    the oracle's arithmetic. The bracket of pure elements is pure:
+    [iS1, iS2] = -[S1, S2] and [A1, A2] are antisymmetric, [iS, A] = i[S, A]
+    is i times a symmetric matrix; the plain commutator is kept, since the
+    real scale is irrelevant to the span.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    d = generators[0].shape[0]
-    seeds = [(IMAG, integerize(g)) for g in generators]
-    echelons = {IMAG: _IntegerEchelon(), REAL: _IntegerEchelon()}
     elements: list[tuple[str, np.ndarray]] = []
-    queue: list[int] = []
-    evaluated = 0
 
     def try_add(kind: str, mat: np.ndarray) -> bool:
-        coords = _sym_coords(mat, d) if kind == IMAG else _antisym_coords(mat, d)
-        res = echelons[kind].residual(coords)
-        if not any(res):
+        kept = oracle.add(kind, mat)
+        if kept is None:
             return False
-        echelons[kind].insert(res)
-        elements.append((kind, _content_reduce(mat)))
-        queue.append(len(elements) - 1)
+        elements.append((kind, kept))
         return True
 
     for kind, mat in seeds:
         try_add(kind, mat)
+    evaluated = 0
     head = 0
-    while head < len(queue) and len(elements) < max_dimension:
-        kind_b, mat_b = elements[queue[head]]
+    while head < len(elements) and len(elements) < max_dimension:
+        kind_b, mat_b = elements[head]
         head += 1
         for kind_g, mat_g in seeds:
             evaluated += 1
-            kind_new, mat_new = _bracket(kind_g, mat_g, kind_b, mat_b)
-            if try_add(kind_new, mat_new) and len(elements) >= max_dimension:
+            kind_new = REAL if kind_g == kind_b else IMAG
+            if try_add(kind_new, oracle.commutator(mat_g, mat_b)) and \
+                    len(elements) >= max_dimension:
                 break
-    return elements, evaluated, len(elements) >= max_dimension
+    return elements, evaluated
+
+
+def integer_seeds(generators) -> list[tuple[str, np.ndarray]]:
+    """The generators as integer seeds i*G, kind IMAG."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    return [(IMAG, integerize(g)) for g in generators]
+
+
+def integer_closure(seeds):
+    """The big-integer loop alone: (elements, brackets_evaluated, saturated)
+    with elements as (kind, content-reduced integer matrix)."""
+    d = seeds[0][1].shape[0]
+    elements, evaluated = _close(seeds, d * d, _IntegerOracle(d))
+    return elements, evaluated, len(elements) >= d * d
+
+
+def exact_closure(generators):
+    """Certified closure dimension over the rationals, up to d^2.
+
+    generators: real symmetric matrices (rational entries), seeded as i*G.
+    Returns (elements, brackets_evaluated, saturated), elements a list of
+    (kind, integer matrix) spanning the closure. A closure certified by the
+    modular pass to contain su(d) returns the integer basis of su(d) (and
+    the identity for u(d)) from _unitary_basis; brackets_evaluated counts the
+    brackets of the pass that decided the dimension.
+    """
+    seeds = integer_seeds(generators)
+    d = seeds[0][1].shape[0]
+    if d >= 2 and _modular_fits(d):
+        oracle = _ModularOracle(d)
+        reduced = [(kind, oracle.reduce(mat)) for kind, mat in seeds]
+        elements, evaluated = _close(reduced, d * d, oracle)
+        if len(elements) >= d * d - 1:
+            # brackets are traceless: only a seed can leave su(d)
+            traced = any(sum(mat[i, i] for i in range(d)) != 0 for _, mat in seeds)
+            basis = _unitary_basis(d, traced)
+            return basis, evaluated, len(basis) == d * d
+    return integer_closure(seeds)
+
+
+def _unitary_basis(d: int, with_identity: bool) -> list[tuple[str, np.ndarray]]:
+    """Integer basis of su(d), and of u(d) when with_identity is set:
+    i(E_jk + E_kj) and E_jk - E_kj for j < k, i(E_jj - E_j+1,j+1), i*I."""
+    def zeros():
+        return np.zeros((d, d), dtype=object)
+
+    out = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym, anti = zeros(), zeros()
+            sym[j, k] = sym[k, j] = 1
+            anti[j, k], anti[k, j] = 1, -1
+            out += [(IMAG, sym), (REAL, anti)]
+    for j in range(d - 1):
+        diag = zeros()
+        diag[j, j], diag[j + 1, j + 1] = 1, -1
+        out.append((IMAG, diag))
+    if with_identity:
+        eye = zeros()
+        for j in range(d):
+            eye[j, j] = 1
+        out.append((IMAG, eye))
+    return out

@@ -445,22 +445,33 @@ def criterion_13(tolerance: float = DEFAULT_TOL) -> CriterionResult:
 
 def run_criteria(seed: int = 0, tolerance: float = DEFAULT_TOL) -> list[CriterionResult]:
     """Criteria 1-13 in order, deterministically for a fixed seed."""
+    return _timed_criteria(seed, tolerance)[0]
+
+
+def _timed_criteria(seed: int, tolerance: float):
+    """Criteria 1-13 in order, and the seconds each took."""
     _gcd_sweep_verdicts.cache_clear()
-    return [
-        criterion_01(tolerance),
-        criterion_02(tolerance),
-        criterion_03(tolerance),
-        criterion_04(tolerance),
-        criterion_05(),
-        criterion_06(),
-        criterion_07(seed, tolerance),
-        criterion_08(tolerance),
-        criterion_09(seed, tolerance),
-        criterion_10(seed),
-        criterion_11(seed),
-        criterion_12(seed),
-        criterion_13(tolerance),
+    calls = [
+        functools.partial(criterion_01, tolerance),
+        functools.partial(criterion_02, tolerance),
+        functools.partial(criterion_03, tolerance),
+        functools.partial(criterion_04, tolerance),
+        criterion_05,
+        criterion_06,
+        functools.partial(criterion_07, seed, tolerance),
+        functools.partial(criterion_08, tolerance),
+        functools.partial(criterion_09, seed, tolerance),
+        functools.partial(criterion_10, seed),
+        functools.partial(criterion_11, seed),
+        functools.partial(criterion_12, seed),
+        functools.partial(criterion_13, tolerance),
     ]
+    results, seconds = [], []
+    for call in calls:
+        t0 = time.perf_counter()
+        results.append(call())
+        seconds.append(time.perf_counter() - t0)
+    return results, seconds
 
 
 def _digest(results: list[CriterionResult]) -> str:
@@ -475,6 +486,8 @@ class SuiteOutcome:
     results: list[CriterionResult]       # criteria 1-13 from the first pass
     determinism: CriterionResult         # criterion 14
     elapsed_seconds: float
+    # criterion number -> seconds over both passes; never part of _digest
+    criterion_seconds: dict[int, float]
 
     @property
     def all_passed(self) -> bool:
@@ -485,15 +498,17 @@ def run_suite(seed: int = 0, time_budget: float = 300.0,
               tolerance: float = DEFAULT_TOL) -> SuiteOutcome:
     """Run criteria 1-13 twice; criterion 14 checks runtime and determinism."""
     t0 = time.perf_counter()
-    first = run_criteria(seed, tolerance)
-    second = run_criteria(seed, tolerance)
+    first, first_s = _timed_criteria(seed, tolerance)
+    second, second_s = _timed_criteria(seed, tolerance)
     elapsed = time.perf_counter() - t0
     identical = _digest(first) == _digest(second)
     within = elapsed < time_budget
     lines = [f"two passes bit-identical for seed {seed}: {identical}",
              f"runtime within budget ({time_budget:.0f} s): {within}"]
     det = CriterionResult(14, "determinism and runtime", identical and within, lines)
-    return SuiteOutcome(results=first, determinism=det, elapsed_seconds=elapsed)
+    seconds = {r.number: a + b for r, a, b in zip(first, first_s, second_s)}
+    return SuiteOutcome(results=first, determinism=det, elapsed_seconds=elapsed,
+                        criterion_seconds=seconds)
 
 
 def format_outcome(outcome: SuiteOutcome, verbose: bool = True) -> str:
@@ -504,5 +519,7 @@ def format_outcome(outcome: SuiteOutcome, verbose: bool = True) -> str:
             for line in r.lines:
                 out.append(f"    {line}")
     out.append(f"elapsed: {outcome.elapsed_seconds:.1f} s")
+    out.append("seconds per criterion, both passes: " + ", ".join(
+        f"{n}: {s:.1f}" for n, s in outcome.criterion_seconds.items()))
     out.append("result: " + ("ALL PASS" if outcome.all_passed else "FAILURES PRESENT"))
     return "\n".join(out)

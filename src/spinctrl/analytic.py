@@ -145,36 +145,6 @@ def half_chain_witness(k: int) -> np.ndarray:
     return np.block([[zero, a], [(-1) ** k * a, zero]])
 
 
-def closed_form_eigensystem(N: int, kappa: float):
-    """Exact eigenpairs of the uniform chain drift for kappa in {0, +1, -1}.
-
-    Returns (eigenvalues, vectors) with orthonormal columns, eigenvalues
-    ascending. kappa = 0: v_m = sqrt(2/(N+1)) sin(m j pi/(N+1)) with
-    eigenvalue 2 cos(j pi/(N+1)). kappa = 1: v_m proportional to
-    cos((2m-1) j pi / (2N)), j = 0..N-1, eigenvalue 2 cos(2 theta_j) plus
-    the uniform diagonal offset (N-5)/2. kappa = -1 follows by the sign
-    duality: negated spectrum, alternating-sign vectors.
-    """
-    if kappa == 0:
-        theta = np.arange(1, N + 1) * math.pi / (N + 1)
-        evals = 2.0 * np.cos(theta)
-        m = np.arange(1, N + 1)[:, None]
-        vecs = math.sqrt(2.0 / (N + 1)) * np.sin(m * theta[None, :])
-    elif kappa in (1, -1):
-        theta = np.arange(0, N) * math.pi / (2 * N)
-        evals = 2.0 * np.cos(2 * theta) + (N - 5) / 2.0
-        m = np.arange(1, N + 1)[:, None]
-        vecs = np.cos((2 * m - 1) * theta[None, :])
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-        if kappa == -1:
-            evals = -evals
-            vecs = vecs * np.where(m % 2 == 1, 1.0, -1.0)
-    else:
-        raise ValueError("closed forms exist for kappa in {0, +1, -1} only")
-    order = np.argsort(evals, kind="stable")
-    return evals[order], vecs[:, order]
-
-
 def star_controllable_conjecture(lengths) -> bool:
     """Center-controlled uniform XX star: controllable iff branch lengths
     are pairwise coprime."""
@@ -186,52 +156,6 @@ def star_controllable_conjecture(lengths) -> bool:
             if math.gcd(ls[i], ls[j]) != 1:
                 return False
     return True
-
-
-def star_end_control_predicate(lengths, controlled_branch: int) -> bool:
-    """Three-branch star controlled at the far end of one branch:
-    controllable iff the other two branch lengths are coprime."""
-    ls = [int(x) for x in lengths]
-    if len(ls) != 3:
-        raise ValueError("end-control predicate is stated for 3 branches")
-    if not (1 <= controlled_branch <= 3):
-        raise ValueError("controlled_branch out of range 1..3")
-    others = [ls[i] for i in range(3) if i != controlled_branch - 1]
-    return math.gcd(others[0], others[1]) == 1
-
-
-def scan_symmetric_kappas(N: int, k: int, lo: float = -3.0, hi: float = 3.0,
-                          step: float = 0.01, dip: float = 0.05) -> list[float]:
-    """Grid scan for anisotropies with an eigenvector zero at site k.
-
-    Independent of the plane-wave enumeration: sample the smallest
-    control-site amplitude on a kappa grid, then refine every dip by ternary
-    search. Returns the kappas whose refined residual passes the oracle.
-    """
-    grid = np.arange(lo, hi + step / 2, step)
-    vals = np.array([control_site_residual(N, kap, k) for kap in grid])
-    found: list[float] = []
-    for i in range(len(grid)):
-        if vals[i] >= dip:
-            continue
-        if i > 0 and vals[i - 1] < vals[i]:
-            continue
-        if i + 1 < len(grid) and vals[i + 1] <= vals[i]:
-            continue
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        for _ in range(120):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if control_site_residual(N, m1, k) < control_site_residual(N, m2, k):
-                b = m2
-            else:
-                a = m1
-        kap = 0.5 * (a + b)
-        if control_site_residual(N, kap, k) < VERIFY_TOL:
-            if not any(abs(kap - f) < 1e-6 for f in found):
-                found.append(kap)
-    return sorted(found)
 
 
 def _check_nk(N: int, k: int) -> None:

@@ -39,17 +39,6 @@ class SubspaceHamiltonian:
         self.h0.setflags(write=False)
         self.h1.setflags(write=False)
 
-    def matrices_as_json(self) -> str:
-        import json
-        return json.dumps({"h0": self.h0.tolist(), "h1": self.h1.tolist(),
-                           "labels": [list(l) for l in self.basis_labels]})
-
-    def matrices_as_text(self) -> str:
-        """Row-major whitespace-separated dump, full precision, h0 then h1."""
-        def block(m):
-            return "\n".join(" ".join(repr(float(x)) for x in row) for row in m)
-        return block(self.h0) + "\n\n" + block(self.h1) + "\n"
-
 
 def single_excitation(spec: NetworkSpec) -> SubspaceHamiltonian:
     """One-excitation restriction of the network Hamiltonian and control."""

@@ -323,14 +323,6 @@ def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
-    n = len(perm)
-    p = np.zeros((n, n))
-    for i, img in enumerate(perm):
-        p[img - 1, i] = 1.0
-    return p
-
-
 def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
               tolerance: float = 1e-9, seed: int = 0) -> DecompositionReport:
     """Invariant blocks from eigenspaces of generic commutant elements.

@@ -1,5 +1,6 @@
-"""Shared oracles: brute-force 2^N Hamiltonians and sector projections, and
-the brute-force symmetry detectors.
+"""Shared oracles: brute-force 2^N Hamiltonians and sector projections, the
+brute-force symmetry detectors, the sequential float closure, and the
+closed forms and scans that only tests consult.
 
 The full-space construction is kept independent of the package builders so
 it can serve as an oracle for them: Pauli strings are assembled by explicit
@@ -10,15 +11,25 @@ The detector oracles solve the same problems as spinctrl.symmetry without
 its shortcuts: the commutant and the anticommutant as the nullspace of the
 full 2d^2 x d^2 Kronecker system, and the automorphism group by listing
 every element.
+
+sequential_float_closure is the float closure as it ran before its
+brackets were screened in batches: every bracket goes through handle(),
+one at a time. The batched closure must return the same basis, bit for bit,
+and the same bracket count.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from spinctrl.analytic import VERIFY_TOL, control_site_residual
+from spinctrl.lie import _DEFER_THRESHOLD, LieClosureResult, _flatten, _PendingPool
 from spinctrl.symmetry import AnticommutantResult, CommutantBasis, _weight_classes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -193,6 +204,173 @@ def generated_group(generators, n: int) -> set[tuple[int, ...]]:
                 group.add(q)
                 frontier.append(q)
     return group
+
+
+def sequential_float_closure(mats, d: int, tol: float) -> LieClosureResult:
+    full = d * d
+    width = 2 * d * d
+    basis = np.zeros((full, width))
+    nb = 0
+    elements: list[np.ndarray] = []
+    pending = _PendingPool(width)
+    queue: deque[tuple[int, int]] = deque()
+    evaluated = 0
+    seq = 0
+
+    def project_out(vec: np.ndarray) -> np.ndarray:
+        if nb:
+            sub = basis[:nb]
+            vec = vec - sub.T @ (sub @ vec)
+            vec = vec - sub.T @ (sub @ vec)
+        return vec
+
+    def accept(vec: np.ndarray) -> None:
+        nonlocal nb
+        vec = project_out(vec)
+        vec /= np.linalg.norm(vec)
+        basis[nb] = vec
+        elements.append((vec[: d * d] + 1j * vec[d * d:]).reshape(d, d))
+        nb += 1
+        pending.project_against(vec)
+        for i in range(nb - 1):
+            queue.append((i, nb - 1))
+
+    def handle(mat: np.ndarray) -> None:
+        nonlocal seq
+        vec = _flatten(mat)
+        norm = np.linalg.norm(vec)
+        if norm <= tol:
+            return
+        scale = max(norm, 1.0)
+        res = vec
+        if nb:
+            sub = basis[:nb]
+            res = res - sub.T @ (sub @ res)
+            # re-orthogonalize only when cancellation actually occurred
+            if np.linalg.norm(res) < 0.5 * norm:
+                res = res - sub.T @ (sub @ res)
+        rn = np.linalg.norm(res)
+        if rn <= tol * scale:
+            return
+        if rn > _DEFER_THRESHOLD * scale:
+            accept(res)
+        else:
+            pending.push(res, scale, seq)
+            seq += 1
+
+    for g in mats:
+        handle(1j * g.astype(complex))
+    while True:
+        while queue and nb < full:
+            i, j = queue.popleft()
+            evaluated += 1
+            handle(elements[i] @ elements[j] - elements[j] @ elements[i])
+        if nb >= full:
+            break
+        vec = pending.pop_largest(tol)
+        if vec is None:
+            break
+        accept(vec)
+
+    return LieClosureResult(dimension=nb, basis=basis[:nb].copy(), matrix_dimension=d,
+                            mode="float", rank_tolerance=tol,
+                            commutators_evaluated=evaluated, saturated=nb >= full)
+
+
+def closed_form_eigensystem(N: int, kappa: float):
+    """Exact eigenpairs of the uniform chain drift for kappa in {0, +1, -1}.
+
+    Returns (eigenvalues, vectors) with orthonormal columns, eigenvalues
+    ascending. kappa = 0: v_m = sqrt(2/(N+1)) sin(m j pi/(N+1)) with
+    eigenvalue 2 cos(j pi/(N+1)). kappa = 1: v_m proportional to
+    cos((2m-1) j pi / (2N)), j = 0..N-1, eigenvalue 2 cos(2 theta_j) plus
+    the uniform diagonal offset (N-5)/2. kappa = -1 follows by the sign
+    duality: negated spectrum, alternating-sign vectors.
+    """
+    if kappa == 0:
+        theta = np.arange(1, N + 1) * math.pi / (N + 1)
+        evals = 2.0 * np.cos(theta)
+        m = np.arange(1, N + 1)[:, None]
+        vecs = math.sqrt(2.0 / (N + 1)) * np.sin(m * theta[None, :])
+    elif kappa in (1, -1):
+        theta = np.arange(0, N) * math.pi / (2 * N)
+        evals = 2.0 * np.cos(2 * theta) + (N - 5) / 2.0
+        m = np.arange(1, N + 1)[:, None]
+        vecs = np.cos((2 * m - 1) * theta[None, :])
+        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+        if kappa == -1:
+            evals = -evals
+            vecs = vecs * np.where(m % 2 == 1, 1.0, -1.0)
+    else:
+        raise ValueError("closed forms exist for kappa in {0, +1, -1} only")
+    order = np.argsort(evals, kind="stable")
+    return evals[order], vecs[:, order]
+
+
+def scan_symmetric_kappas(N: int, k: int, lo: float = -3.0, hi: float = 3.0,
+                          step: float = 0.01, dip: float = 0.05) -> list[float]:
+    """Grid scan for anisotropies with an eigenvector zero at site k.
+
+    Independent of the plane-wave enumeration: sample the smallest
+    control-site amplitude on a kappa grid, then refine every dip by ternary
+    search. Returns the kappas whose refined residual passes the oracle.
+    """
+    grid = np.arange(lo, hi + step / 2, step)
+    vals = np.array([control_site_residual(N, kap, k) for kap in grid])
+    found: list[float] = []
+    for i in range(len(grid)):
+        if vals[i] >= dip:
+            continue
+        if i > 0 and vals[i - 1] < vals[i]:
+            continue
+        if i + 1 < len(grid) and vals[i + 1] <= vals[i]:
+            continue
+        a = grid[max(i - 1, 0)]
+        b = grid[min(i + 1, len(grid) - 1)]
+        for _ in range(120):
+            m1 = a + (b - a) / 3
+            m2 = b - (b - a) / 3
+            if control_site_residual(N, m1, k) < control_site_residual(N, m2, k):
+                b = m2
+            else:
+                a = m1
+        kap = 0.5 * (a + b)
+        if control_site_residual(N, kap, k) < VERIFY_TOL:
+            if not any(abs(kap - f) < 1e-6 for f in found):
+                found.append(kap)
+    return sorted(found)
+
+
+def star_end_control_predicate(lengths, controlled_branch: int) -> bool:
+    """Three-branch star controlled at the far end of one branch:
+    controllable iff the other two branch lengths are coprime."""
+    ls = [int(x) for x in lengths]
+    if len(ls) != 3:
+        raise ValueError("end-control predicate is stated for 3 branches")
+    if not (1 <= controlled_branch <= 3):
+        raise ValueError("controlled_branch out of range 1..3")
+    others = [ls[i] for i in range(3) if i != controlled_branch - 1]
+    return math.gcd(others[0], others[1]) == 1
+
+
+def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
+    n = len(perm)
+    p = np.zeros((n, n))
+    for i, img in enumerate(perm):
+        p[img - 1, i] = 1.0
+    return p
+
+
+def matrices_as_json(sub) -> str:
+    return json.dumps({"h0": sub.h0.tolist(), "h1": sub.h1.tolist(),
+                       "labels": [list(l) for l in sub.basis_labels]})
+
+
+def matrices_as_text(sub) -> str:
+    """Row-major whitespace-separated dump, full precision, h0 then h1."""
+    def block(m):
+        return "\n".join(" ".join(repr(float(x)) for x in row) for row in m)
+    return block(sub.h0) + "\n\n" + block(sub.h1) + "\n"
 
 
 @pytest.fixture(scope="session")

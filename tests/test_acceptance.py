@@ -87,6 +87,17 @@ def test_report_renders(outcome):
     assert "elapsed" in text
 
 
+def test_criterion_seconds_reported(outcome):
+    # per-criterion time is printed next to elapsed and kept out of the
+    # detail lines that the determinism digest hashes
+    assert list(outcome.criterion_seconds) == list(range(1, 14))
+    assert all(s >= 0 for s in outcome.criterion_seconds.values())
+    lines = format_outcome(outcome, verbose=False).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("elapsed:"))
+    assert lines[at + 1].startswith("seconds per criterion, both passes: 1: ")
+    assert not any("seconds" in line for r in outcome.results for line in r.lines)
+
+
 def test_perturbed_tolerance_is_detected():
     # a deliberately loose rank threshold must surface as criterion failures
     from spinctrl.acceptance import criterion_04

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinctrl.analytic import (bethe_symmetric_kappas, closed_form_eigensystem,
-                               heisenberg_controllable, scan_symmetric_kappas,
-                               star_controllable_conjecture,
-                               star_end_control_predicate, xx_controllable,
+from conftest import (closed_form_eigensystem, scan_symmetric_kappas,
+                      star_end_control_predicate)
+from spinctrl.analytic import (bethe_symmetric_kappas, heisenberg_controllable,
+                               star_controllable_conjecture, xx_controllable,
                                xx_symmetry_predicate)
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure, verdict

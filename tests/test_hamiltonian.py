@@ -7,7 +7,8 @@ from spinctrl.network import (InvalidNetworkError, NetworkSpec, StarDescriptor,
                               make_chain, make_star)
 from spinctrl.reference import INHOMOGENEOUS_10x10
 
-from conftest import full_space_hamiltonians, project_to_sector, sector_states
+from conftest import (full_space_hamiltonians, matrices_as_json, matrices_as_text,
+                      project_to_sector, sector_states)
 
 
 class TestSingleExcitation:
@@ -154,8 +155,8 @@ class TestSpectralProperties:
 
     def test_matrix_exports(self):
         sub = single_excitation(make_chain(3, "uniform", 0.0, controls=(1,)))
-        text = sub.matrices_as_text()
+        text = matrices_as_text(sub)
         assert "1.0" in text and text.count("\n\n") == 1
         import json
-        doc = json.loads(sub.matrices_as_json())
+        doc = json.loads(matrices_as_json(sub))
         assert doc["h0"][0][1] == 1.0

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sequential_float_closure
+from spinctrl import _exact
 from spinctrl.hamiltonian import second_excitation_chain, single_excitation
 from spinctrl.lie import lie_closure, verdict
-from spinctrl.network import make_chain
+from spinctrl.network import StarDescriptor, make_chain, make_star
 from spinctrl.reference import INHOMOGENEOUS_10x10
 
 
@@ -180,3 +182,140 @@ class TestVerdict:
         assert verdict(stub, 10).controllable
         stub.dimension = 98
         assert not verdict(stub, 10).controllable
+
+
+def _gcd_sweep_pairs(max_n=12):
+    from spinctrl.acceptance import _gcd_sweep_fixtures
+    for N, k, kappa, _ in _gcd_sweep_fixtures():
+        if N <= max_n:
+            yield (N, k, kappa), chain_pair(N, "uniform", kappa, (k,))
+
+
+def _branch_table_pairs():
+    from spinctrl.reference import HEISENBERG_BRANCH_TABLE, XX_BRANCH_TABLE
+    for table, kappa in ((XX_BRANCH_TABLE, 0.0), (HEISENBERG_BRANCH_TABLE, 1.0)):
+        for ref in table:
+            sub = single_excitation(make_star(StarDescriptor(tuple(ref["lengths"])), kappa))
+            yield (tuple(ref["lengths"]), kappa), (sub.h0, sub.h1)
+
+
+def _closure_summary(result):
+    elements, evaluated, saturated = result
+    return len(elements), evaluated, saturated
+
+
+def _integer_loop(mats):
+    return _closure_summary(_exact.integer_closure(_exact.integer_seeds(mats)))
+
+
+class TestModularCertificate:
+    """exact_closure certifies full ranks mod p and falls back to the
+    big-integer loop for every other rank; both must give the big-integer
+    loop's dimension, bracket count and saturation flag."""
+
+    def test_agrees_with_integer_loop(self):
+        fixtures = list(_gcd_sweep_pairs()) + list(_branch_table_pairs())
+        assert len(fixtures) == 231 + 19
+        for tag, mats in fixtures:
+            assert _closure_summary(_exact.exact_closure(mats)) == _integer_loop(mats), tag
+
+    def test_small_prime_falls_back(self, monkeypatch):
+        fallbacks = []
+        integer_closure = _exact.integer_closure
+
+        def counted(seeds):
+            fallbacks.append(seeds)
+            return integer_closure(seeds)
+
+        fixtures = [mats for _, mats in _gcd_sweep_pairs(max_n=7)]
+        # a coupling of 3 vanishes mod 3 and cuts the chain in two there
+        fixtures += [chain_pair(N, [1.0] * (N - 3) + [3.0, 1.0], 0.0, (1,))
+                     for N in range(3, 8)]
+        want = [_integer_loop(mats)[0] for mats in fixtures]
+        monkeypatch.setattr(_exact, "_PRIME", 3)
+        monkeypatch.setattr(_exact, "integer_closure", counted)
+        # only the dimension is pinned: a certified run mod 3 may accept its
+        # elements in another order, and so count other brackets
+        got = [len(_exact.exact_closure(mats)[0]) for mats in fixtures]
+        assert got == want
+        dims = [(mats[0].shape[0], dim) for mats, dim in zip(fixtures, want)]
+        assert all(dim == d * d for d, dim in dims[-5:])
+        assert len(fallbacks) == 5 + sum(1 for d, dim in dims[:-5] if dim < d * d - 1)
+
+    def test_trace_divisible_by_prime(self, monkeypatch):
+        # h0 has trace p, zero mod p, and h1 is traceless: only the exact
+        # trace test sees u(d)
+        h0, _ = chain_pair(4, "uniform", 0.0, (1,))
+        h0 = h0.copy()
+        h0[0, 0] = float(_exact._PRIME)
+        h1 = np.diag([1.0, -1.0, 0.0, 0.0])
+        reduced = [(kind, _exact._ModularOracle.reduce(m))
+                   for kind, m in _exact.integer_seeds([h0, h1])]
+        elements, _ = _exact._close(reduced, 16, _exact._ModularOracle(4))
+        assert len(elements) == 15
+        assert _integer_loop([h0, h1])[0] == 16
+
+        def no_fallback(seeds):
+            raise AssertionError("the certificate should decide this closure")
+
+        monkeypatch.setattr(_exact, "integer_closure", no_fallback)
+        res = lie_closure([h0, h1], mode="exact")
+        assert res.dimension == 16 and res.saturated
+        assert verdict(res).note == "dim = d^2 = 16, u(4)"
+
+    @pytest.mark.parametrize("h1,want", [(np.diag([1.0, 0, 0, 0, 0]), 25),
+                                         (np.diag([1.0, -1, 0, 0, 0]), 24)])
+    def test_certified_basis_spans_unitary_algebra(self, h1, want):
+        h0, _ = chain_pair(5, "uniform", 0.0, (1,))
+        res = lie_closure([h0, h1], mode="exact")
+        assert res.dimension == want and res.saturated == (want == 25)
+        assert np.linalg.matrix_rank(res.basis) == want
+        traced = 0
+        for kind, mat in res.exact_elements:
+            traced += sum(mat[i, i] for i in range(5)) != 0
+            assert (mat == (mat.T if kind == _exact.IMAG else -mat.T)).all()
+        assert traced == want - 24
+
+    def test_codimension_two_is_not_certified(self):
+        # commuting diagonal generators span u(1) + u(1), of dimension d^2 - 2
+        res = lie_closure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], mode="exact")
+        assert res.dimension == 2
+
+    def test_big_integer_path_for_d1_and_beyond_guard(self, monkeypatch):
+        def no_modular(d):
+            raise AssertionError("the modular pass must not run")
+
+        monkeypatch.setattr(_exact, "_ModularOracle", no_modular)
+        assert lie_closure([np.array([[2.0]])], mode="exact").dimension == 1
+        assert lie_closure([np.array([[0.0]])], mode="exact").dimension == 0
+        # d = 3 needs max(3, 6) * (p - 1)**2 below the limit
+        monkeypatch.setattr(_exact, "_INT64_LIMIT", 6 * (_exact._PRIME - 1) ** 2)
+        h0, h1 = chain_pair(3, "uniform", 0.0, (1,))
+        assert lie_closure([h0, h1], mode="exact").dimension == 9
+
+
+def _float_oracle_fixtures():
+    from spinctrl.acceptance import _random_chains
+    for tag, mats in _gcd_sweep_pairs(max_n=10):
+        yield tag, mats
+    for N, couplings, kappa, k in _random_chains(0):
+        yield ("random", N, k, kappa), chain_pair(N, couplings, kappa, (k,))
+    yield from _branch_table_pairs()
+    for N in range(2, 9):
+        for k in range(1, N + 1):
+            for kappa in (np.sqrt(3), -np.sqrt(3)):
+                yield (N, k, kappa), chain_pair(N, "uniform", kappa, (k,))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_float_closure_matches_sequential_oracle(tol):
+    """Screening brackets in batches changes no decision: the basis is equal
+    bit for bit, and so is the bracket count."""
+    count = 0
+    for tag, (h0, h1) in _float_oracle_fixtures():
+        got = lie_closure([h0, h1], tolerance=tol)
+        want = sequential_float_closure([h0, h1], h0.shape[0], tol)
+        assert np.array_equal(got.basis, want.basis), tag
+        assert got.commutators_evaluated == want.commutators_evaluated, tag
+        count += 1
+    assert count == 162 + 25 + 19 + 70

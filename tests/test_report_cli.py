@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinctrl import _exact
 from spinctrl.cli import main
-from spinctrl.network import MAX_NODES, StarDescriptor, make_chain, make_star
+from spinctrl.hamiltonian import single_excitation
+from spinctrl.network import MAX_NODES, NetworkSpec, StarDescriptor, make_chain, make_star
 from spinctrl.report import analyze, reproduce_table
 
 
@@ -73,6 +77,40 @@ class TestAnalyze:
         assert set(doc["closure"]) == {
             "skipped", "dimension", "full_dimension", "controllable", "note",
             "mode", "commutators_evaluated", "saturated"}
+
+
+# integer, half-integer and irrational values (1.1 is no short binary fraction)
+_FUZZ_VALUES = st.sampled_from([1.0, 2.0, -1.0, 3.0, 0.5, -1.5, 2.5,
+                                math.sqrt(2), math.sqrt(3) / 2, 1.1])
+
+
+@st.composite
+def small_networks(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(m, q) for m in range(1, n + 1) for q in range(m + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((m, q, draw(_FUZZ_VALUES)) for m, q in chosen)
+    kappa = draw(st.one_of(st.just(0.0), _FUZZ_VALUES))
+    controls = tuple(draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
+    return NetworkSpec(node_count=n, edges=edges, kappa=kappa, controls=controls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_networks())
+def test_analyze_fuzz_small_networks(spec):
+    """analyze() returns a report for every small valid network; a rational
+    network's closure dimension is the big-integer loop's."""
+    rep = analyze(spec)
+    d = spec.node_count
+    assert rep.subspace_dimension == d
+    assert 0 <= rep.closure["dimension"] <= d * d
+    sub = single_excitation(spec)
+    if _exact.is_rational(sub.h0) and _exact.is_rational(sub.h1):
+        assert rep.closure["mode"] == "exact"
+        elements, _, _ = _exact.integer_closure(_exact.integer_seeds([sub.h0, sub.h1]))
+        assert rep.closure["dimension"] == len(elements)
+    else:
+        assert rep.closure["mode"] == "float"
 
 
 class TestTables:

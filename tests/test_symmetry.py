@@ -5,7 +5,7 @@ import pytest
 
 import spinctrl.symmetry
 
-from conftest import generated_group
+from conftest import generated_group, permutation_matrix
 from spinctrl.analytic import half_chain_witness
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
@@ -13,8 +13,7 @@ from spinctrl.network import NetworkSpec, StarDescriptor, make_chain, make_star
 from spinctrl.reference import COMMUTING_MATRIX_7, INHOMOGENEOUS_10x10
 from spinctrl.report import analyze
 from spinctrl.symmetry import (certify_internal_symmetry, commutant, dark_states,
-                               decompose, graph_automorphisms, internal_symmetry,
-                               permutation_matrix)
+                               decompose, graph_automorphisms, internal_symmetry)
 
 
 def chain_pair(length, couplings, kappa, controls):
