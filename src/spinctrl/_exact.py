@@ -19,11 +19,23 @@ the reduced images of integer nested brackets, and dim_p <= dim_Q. When
 dim_p >= d^2 - 1 the rational closure contains su(d), which has no
 subalgebra of codimension 1; the dimension is then d^2 if some integer seed
 has a nonzero trace (brackets are traceless) and d^2 - 1 otherwise, and the
-elements returned are the integer basis of su(d) or u(d). A smaller dim_p is
-only a lower bound: the big-integer oracle, fraction-free row elimination
-over the integers, then reruns the loop and certifies the rank. The modular
-pass runs only when no int64 sum can overflow, max(d, d(d+1)/2) * (p-1)^2
-< 2**63, and only for d >= 2; otherwise the big-integer oracle runs alone.
+elements returned are the integer basis of su(d) or u(d).
+
+A smaller dim_p is checked against an upper bound over Q (_dark_split). B is
+the smallest subspace that contains the ranges of the seed commutators and
+is invariant under every seed, computed over the integers on vectors of
+length d; D = B-perp is the dark part, where every seed acts and every
+commutator vanishes. u(B) + span(seeds restricted to D) is then a Lie
+algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D, and
+equality certifies the dimension. For a single-node Z-control, D is spanned
+by the eigenstates of the drift with no weight on the control node, the
+dark states of the paper. The bound misses internal symmetries, such as the
+anticommuting one of the half-chain XX family: then, and whenever dim_p
+falls short of the bound, the big-integer oracle (fraction-free row
+elimination over the integers) reruns the loop and certifies the rank.
+The modular pass runs only when no int64 sum can overflow,
+max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
+big-integer oracle runs alone.
 """
 
 from __future__ import annotations
@@ -316,10 +328,13 @@ def exact_closure(generators):
 
     generators: real symmetric matrices (rational entries), seeded as i*G.
     Returns (elements, brackets_evaluated, saturated), elements a list of
-    (kind, integer matrix) spanning the closure. A closure certified by the
-    modular pass to contain su(d) returns the integer basis of su(d) (and
-    the identity for u(d)) from _unitary_basis; brackets_evaluated counts the
-    brackets of the pass that decided the dimension.
+    (kind, integer matrix) spanning the closure. The modular pass decides
+    the dimension when it reaches d^2 - 1 (the elements are then the integer
+    basis of su(d), and the identity for u(d), from _unitary_basis) or the
+    dark-subspace bound of _dark_split (the elements are then the integer
+    basis of u(B) and the seeds with independent dark parts);
+    brackets_evaluated is then the modular pass's count. Any other closure
+    is the big-integer loop's.
     """
     seeds = integer_seeds(generators)
     d = seeds[0][1].shape[0]
@@ -332,7 +347,94 @@ def exact_closure(generators):
             traced = any(sum(mat[i, i] for i in range(d)) != 0 for _, mat in seeds)
             basis = _unitary_basis(d, traced)
             return basis, evaluated, len(basis) == d * d
+        span, dark = _dark_split(seeds)
+        if len(span) ** 2 + len(dark) == len(elements):
+            return _subspace_basis(span) + dark, evaluated, False
     return integer_closure(seeds)
+
+
+def _dark_split(seeds):
+    """The dark-subspace bound on the closure dimension, over Q.
+
+    Returns (span, dark): span an integer basis of B, the smallest subspace
+    that contains the range of every pairwise seed commutator and is
+    invariant under every seed; dark the seeds whose restrictions to
+    D = B-perp are linearly independent, as (kind, matrix) seeds.
+
+    The seeds are symmetric, so D is invariant too, and each commutator
+    vanishes on D. Hence u(B) + span(seeds restricted to D) is a Lie algebra
+    containing the seeds, and the closure dimension is at most
+    len(span)**2 + len(dark). An equal rank mod p certifies it.
+    """
+    d = seeds[0][1].shape[0]
+    mats = [mat for _, mat in seeds]
+    echelon = _IntegerEchelon()
+    queue = []
+
+    def extend(vec) -> None:
+        res = echelon.residual([int(x) for x in vec])
+        if any(res):
+            echelon.insert(res)
+            queue.append(np.array(res, dtype=object))
+
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            for row in a.dot(b) - b.dot(a):  # antisymmetric: rows span the range
+                extend(row)
+    while queue:
+        vec = queue.pop()
+        for mat in mats:
+            extend(mat.dot(vec))
+    span = [row for _, row in echelon.rows]
+    null = np.array(_integer_nullspace(echelon.rows, d), dtype=object).reshape(-1, d).T
+    parts = _IntegerEchelon()
+    dark = []
+    for kind, mat in seeds:
+        res = parts.residual(_sym_coords(null.T.dot(mat).dot(null), null.shape[1]))
+        if any(res):
+            parts.insert(res)
+            dark.append((kind, mat))
+    return span, dark
+
+
+def _integer_nullspace(rows: list[tuple[int, list[int]]], d: int) -> list[list[int]]:
+    """Integer basis of the vectors orthogonal to every row of an
+    _IntegerEchelon's rows: (pivot, row) sorted by pivot, each row zero
+    before its pivot."""
+    reduced: list[tuple[int, list[Fraction]]] = []
+    for piv, row in rows:
+        unit = [Fraction(x, row[piv]) for x in row]
+        for i, (p, other) in enumerate(reduced):
+            f = other[piv]
+            if f:
+                reduced[i] = (p, [x - f * y for x, y in zip(other, unit)])
+        reduced.append((piv, unit))
+    pivots = {p for p, _ in reduced}
+    out = []
+    for free in range(d):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * d
+        vec[free] = Fraction(1)
+        for p, row in reduced:
+            vec[p] = -row[free]
+        den = math.lcm(*(x.denominator for x in vec))
+        out.append([int(x * den) for x in vec])
+    return out
+
+
+def _subspace_basis(span: list[list[int]]) -> list[tuple[str, np.ndarray]]:
+    """Integer basis of u(B) for B spanned by the integer vectors span:
+    i(b_j b_k^T + b_k b_j^T) and b_j b_k^T - b_k b_j^T for j < k, i b_j b_j^T."""
+    vecs = [np.array(b, dtype=object) for b in span]
+    out = []
+    for j, bj in enumerate(vecs):
+        for bk in vecs[j + 1:]:
+            outer = np.outer(bj, bk)
+            out += [(IMAG, _content_reduce(outer + outer.T)),
+                    (REAL, _content_reduce(outer - outer.T))]
+    out += [(IMAG, np.outer(b, b)) for b in vecs]
+    return out
 
 
 def _unitary_basis(d: int, with_identity: bool) -> list[tuple[str, np.ndarray]]:

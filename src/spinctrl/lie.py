@@ -28,9 +28,9 @@ margin dwarfs the rounding gap between the two residuals. Every other
 bracket is recomputed one at a time and handled exactly as without the
 screen, so the basis is the same to the last bit.
 
-Exact mode delegates to _exact (a modular certificate for full ranks,
-fraction-free integer elimination otherwise) and is the arbiter whenever
-the two modes disagree on rational input.
+Exact mode delegates to _exact (a modular pass certified by the full rank
+or by the dark-subspace bound, fraction-free integer elimination otherwise)
+and is the arbiter whenever the two modes disagree on rational input.
 """
 
 from __future__ import annotations
@@ -85,7 +85,10 @@ def lie_closure(generators, mode: str = "float",
     generators: square real symmetric matrices of equal size.
     mode: "float" (orthonormal basis, tolerance-based rank) or "exact"
     (rational entries, certified rank).
+    tolerance: the float rank tolerance; in either mode it must be finite
+    and positive, else ValueError.
     """
+    tolerance = check_tolerance(tolerance)
     mats = [np.asarray(g) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -97,7 +100,15 @@ def lie_closure(generators, mode: str = "float",
         return _exact_closure_result(mats, d)
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
-    return _float_closure(mats, d, float(tolerance))
+    return _float_closure(mats, d, tolerance)
+
+
+def check_tolerance(tolerance) -> float:
+    """tolerance as a float; ValueError unless it is finite and positive."""
+    tolerance = float(tolerance)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    return tolerance
 
 
 def verdict(result: LieClosureResult, d: int | None = None) -> ControllabilityVerdict:

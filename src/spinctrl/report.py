@@ -22,7 +22,7 @@ from . import _exact, reference
 from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
                        star_controllable_conjecture, xx_controllable)
 from .hamiltonian import second_excitation_chain, single_excitation
-from .lie import lie_closure, verdict
+from .lie import check_tolerance, lie_closure, verdict
 from .network import NetworkSpec, StarDescriptor, make_chain, make_star
 from .symmetry import (commutant, dark_states, decompose, graph_automorphisms,
                        internal_symmetry)
@@ -59,7 +59,10 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     accepts both h0 and h1 (closure["mode"] == "exact", a certified rank)
     and in float arithmetic with rank tolerance `tolerance` otherwise.
     timings holds the seconds spent in each stage and each detector.
+    A tolerance that is not finite and positive raises ValueError, also
+    when the closure is skipped.
     """
+    check_tolerance(tolerance)
     timings = {}
 
     def timed(key, fn, *args, **kwargs):

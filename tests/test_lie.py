@@ -161,6 +161,10 @@ class TestClosureContract:
             lie_closure([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError, match="mode"):
             lie_closure([np.eye(2)], mode="symbolic")
+        for tol in (float("nan"), float("inf"), 0.0, -1.0):
+            for mode in ("float", "exact"):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    lie_closure([np.eye(2)], mode=mode, tolerance=tol)
 
 
 class TestVerdict:
@@ -208,10 +212,45 @@ def _integer_loop(mats):
     return _closure_summary(_exact.integer_closure(_exact.integer_seeds(mats)))
 
 
+def _modular_dimension(mats):
+    d = mats[0].shape[0]
+    oracle = _exact._ModularOracle(d)
+    reduced = [(kind, oracle.reduce(m)) for kind, m in _exact.integer_seeds(mats)]
+    return len(_exact._close(reduced, d * d, oracle)[0])
+
+
+def _dark_bound(mats):
+    span, dark = _exact._dark_split(_exact.integer_seeds(mats))
+    return len(span) ** 2 + len(dark)
+
+
+def _half_chain_pairs():
+    for k in range(2, 6):
+        yield k, chain_pair(2 * k, "uniform", 0.0, tuple(range(1, k + 1)))
+
+
+class _FellBack(Exception):
+    pass
+
+
+def _no_fallback(seeds):
+    raise _FellBack
+
+
+def _as_vectors(elements):
+    out = []
+    for kind, mat in elements:
+        m = mat.astype(float)
+        out.append(np.concatenate([np.zeros(m.size), m.ravel()]) if kind == _exact.IMAG
+                   else np.concatenate([m.ravel(), np.zeros(m.size)]))
+    return np.array(out)
+
+
 class TestModularCertificate:
-    """exact_closure certifies full ranks mod p and falls back to the
-    big-integer loop for every other rank; both must give the big-integer
-    loop's dimension, bracket count and saturation flag."""
+    """exact_closure certifies a rank mod p that reaches d^2 - 1 or the
+    dark-subspace bound, and falls back to the big-integer loop for every
+    other rank; all must give the big-integer loop's dimension, bracket
+    count and saturation flag."""
 
     def test_agrees_with_integer_loop(self):
         fixtures = list(_gcd_sweep_pairs()) + list(_branch_table_pairs())
@@ -220,8 +259,8 @@ class TestModularCertificate:
             assert _closure_summary(_exact.exact_closure(mats)) == _integer_loop(mats), tag
 
     def test_small_prime_falls_back(self, monkeypatch):
-        fallbacks = []
         integer_closure = _exact.integer_closure
+        fallbacks = []
 
         def counted(seeds):
             fallbacks.append(seeds)
@@ -234,13 +273,74 @@ class TestModularCertificate:
         want = [_integer_loop(mats)[0] for mats in fixtures]
         monkeypatch.setattr(_exact, "_PRIME", 3)
         monkeypatch.setattr(_exact, "integer_closure", counted)
+        # fall back exactly where dim_3 reaches neither d^2 - 1 nor the bound
+        misses = []
+        for i, mats in enumerate(fixtures):
+            d, dim = mats[0].shape[0], _modular_dimension(mats)
+            if dim < d * d - 1 and dim != _dark_bound(mats):
+                misses.append(i)
+        fell = []
+        got = []
         # only the dimension is pinned: a certified run mod 3 may accept its
         # elements in another order, and so count other brackets
-        got = [len(_exact.exact_closure(mats)[0]) for mats in fixtures]
+        for i, mats in enumerate(fixtures):
+            before = len(fallbacks)
+            got.append(len(_exact.exact_closure(mats)[0]))
+            if len(fallbacks) > before:
+                fell.append(i)
         assert got == want
-        dims = [(mats[0].shape[0], dim) for mats, dim in zip(fixtures, want)]
-        assert all(dim == d * d for d, dim in dims[-5:])
-        assert len(fallbacks) == 5 + sum(1 for d, dim in dims[:-5] if dim < d * d - 1)
+        assert fell == misses
+        n = len(fixtures)
+        assert set(range(n - 5, n)) <= set(fell)
+        assert all(want[i] == fixtures[i][0].shape[0] ** 2 for i in range(n - 5, n))
+
+    def test_deficient_fixtures_need_no_big_integers(self, monkeypatch):
+        fixtures = list(_gcd_sweep_pairs()) + list(_branch_table_pairs())
+        # dim_p <= dim_Q: a rank mod p of d^2 - 1 or more is never deficient
+        deficient = [(tag, mats, _integer_loop(mats)) for tag, mats in fixtures
+                     if _modular_dimension(mats) < mats[0].shape[0] ** 2 - 1]
+        assert all(want[0] < mats[0].shape[0] ** 2 - 1 for _, mats, want in deficient)
+        assert len(deficient) == 58
+        monkeypatch.setattr(_exact, "integer_closure", _no_fallback)
+        for tag, mats, want in deficient:
+            assert _closure_summary(_exact.exact_closure(mats)) == want, tag
+        # the bound misses the internal symmetry of the half-chain family
+        for k, mats in _half_chain_pairs():
+            assert _dark_bound(mats) > k * (2 * k + 1) + 1
+            with pytest.raises(_FellBack):
+                _exact.exact_closure(mats)
+
+    @pytest.mark.parametrize("length,k,kappa", [(7, 2, 0.0), (6, 2, 1.0), (7, 4, -1.0),
+                                                (9, 5, 0.0)])
+    def test_certified_elements_span_the_closure(self, monkeypatch, length, k, kappa):
+        h0, h1 = chain_pair(length, "uniform", kappa, (k,))
+        want = _integer_loop([h0, h1])[0]
+        monkeypatch.setattr(_exact, "integer_closure", _no_fallback)
+        res = lie_closure([h0, h1], mode="exact")
+        assert res.dimension == want < length ** 2 - 1
+        elements = res.exact_elements
+        for kind, mat in elements:
+            assert (mat == (mat.T if kind == _exact.IMAG else -mat.T)).all()
+        seeds = _exact.integer_seeds([h0, h1])
+        brackets = [(_exact.REAL if kg == ke else _exact.IMAG, g.dot(e) - e.dot(g))
+                    for kg, g in seeds for ke, e in elements]
+        assert np.linalg.matrix_rank(_as_vectors(elements)) == want
+        assert np.linalg.matrix_rank(_as_vectors(elements + seeds + brackets)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_certificate_matches_integer_loop_random(self, data):
+        d = data.draw(st.integers(2, 5))
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+        def sym():
+            m = np.array([[data.draw(entries) for _ in range(d)] for _ in range(d)], float)
+            return m + m.T
+
+        mats = [sym() for _ in range(data.draw(st.integers(1, 3)))]
+        want = _integer_loop(mats)
+        assert _closure_summary(_exact.exact_closure(mats)) == want
+        assert _dark_bound(mats) >= want[0]
 
     def test_trace_divisible_by_prime(self, monkeypatch):
         # h0 has trace p, zero mod p, and h1 is traceless: only the exact
@@ -249,10 +349,7 @@ class TestModularCertificate:
         h0 = h0.copy()
         h0[0, 0] = float(_exact._PRIME)
         h1 = np.diag([1.0, -1.0, 0.0, 0.0])
-        reduced = [(kind, _exact._ModularOracle.reduce(m))
-                   for kind, m in _exact.integer_seeds([h0, h1])]
-        elements, _ = _exact._close(reduced, 16, _exact._ModularOracle(4))
-        assert len(elements) == 15
+        assert _modular_dimension([h0, h1]) == 15
         assert _integer_loop([h0, h1])[0] == 16
 
         def no_fallback(seeds):

@@ -306,3 +306,17 @@ class TestCli:
         rc = main(["chain", "--length", str(10**9), "--control", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--length", "4", "--kappa", "0.7071067811865476", "--control", "1"],
+        ["chain", "--length", "4", "--kappa", "0", "--control", "1"],
+        ["chain", "--length", "4", "--control", "1", "--skip-closure-above", "1"],
+        ["verify"],
+    ])
+    def test_invalid_tolerance_exit(self, argv, tol, capsys):
+        rc = main(argv + ["--tol", tol])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error:") and "finite and positive" in err
+        assert "Traceback" not in err and "closure:" not in out
