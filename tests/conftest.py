@@ -13,9 +13,12 @@ full 2d^2 x d^2 Kronecker system, and the automorphism group by listing
 every element.
 
 sequential_float_closure is the float closure as it ran before its
-brackets were screened in batches: every bracket goes through handle(),
-one at a time. The batched closure must return the same basis, bit for bit,
-and the same bracket count.
+brackets were screened in batches and its deferral pool was filled lazily:
+every bracket goes through handle(), one at a time, and every deferred
+candidate enters the pool on the spot. It keeps its own copies of _flatten
+and _PendingPool, so a change to the package's pool cannot change the
+oracle. The closure under test must return the same basis, bit for bit, and
+the same bracket count.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 import pytest
 
 from spinctrl.analytic import VERIFY_TOL, control_site_residual
-from spinctrl.lie import _DEFER_THRESHOLD, LieClosureResult, _flatten, _PendingPool
+from spinctrl.lie import _DEFER_THRESHOLD, LieClosureResult
 from spinctrl.symmetry import AnticommutantResult, CommutantBasis, _weight_classes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -204,6 +207,69 @@ def generated_group(generators, n: int) -> set[tuple[int, ...]]:
                 group.add(q)
                 frontier.append(q)
     return group
+
+
+def _flatten(mat: np.ndarray) -> np.ndarray:
+    return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+
+
+class _PendingPool:
+    """Deferred candidates, kept projected against the growing basis.
+
+    Rows live in a capacity-doubling array so the per-accept re-projection
+    and the norm scan are single vectorized operations.
+    """
+
+    def __init__(self, width: int):
+        self._rows = np.zeros((16, width))
+        self._scale = np.zeros(16)
+        self._seq = np.zeros(16, dtype=np.int64)
+        self.count = 0
+
+    def push(self, vec: np.ndarray, scale: float, seq: int) -> None:
+        if self.count == self._rows.shape[0]:
+            grow = self._rows.shape[0] * 2
+            self._rows = np.vstack([self._rows, np.zeros_like(self._rows)])[:grow]
+            self._scale = np.concatenate([self._scale, np.zeros_like(self._scale)])[:grow]
+            self._seq = np.concatenate([self._seq, np.zeros_like(self._seq)])[:grow]
+        self._rows[self.count] = vec
+        self._scale[self.count] = scale
+        self._seq[self.count] = seq
+        self.count += 1
+
+    def project_against(self, unit: np.ndarray) -> None:
+        if self.count:
+            rows = self._rows[: self.count]
+            rows -= np.outer(rows @ unit, unit)
+
+    def pop_largest(self, tol: float):
+        """Drop dead rows, then remove and return the largest-residual row
+        (earliest insertion wins ties). None when nothing survives."""
+        if not self.count:
+            return None
+        rows = self._rows[: self.count]
+        norms = np.linalg.norm(rows, axis=1)
+        alive = norms > tol * np.maximum(self._scale[: self.count], 1.0)
+        if not alive.any():
+            self.count = 0
+            return None
+        if not alive.all():
+            keep = int(alive.sum())
+            self._rows[:keep] = rows[alive]
+            self._scale[:keep] = self._scale[: self.count][alive]
+            self._seq[:keep] = self._seq[: self.count][alive]
+            self.count = keep
+            norms = norms[alive]
+        order = np.lexsort((self._seq[: self.count], -norms))
+        best = int(order[0])
+        vec = self._rows[best].copy()
+        last = self.count - 1
+        if best != last:
+            self._rows[best] = self._rows[last]
+            self._scale[best] = self._scale[last]
+            self._seq[best] = self._seq[last]
+        self.count = last
+        return vec
 
 
 def sequential_float_closure(mats, d: int, tol: float) -> LieClosureResult:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import sequential_float_closure
-from spinctrl import _exact
+from spinctrl import _exact, lie
 from spinctrl.hamiltonian import second_excitation_chain, single_excitation
 from spinctrl.lie import lie_closure, verdict
 from spinctrl.network import StarDescriptor, make_chain, make_star
@@ -101,7 +102,13 @@ class TestInvariances:
         h0, h1 = chain_pair(6, "uniform", 1.0, (2,))
         base = lie_closure([h0, h1]).dimension
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        rot = lie_closure([q.T @ h0 @ q, q.T @ h1 @ q]).dimension
+
+        def conjugated(h):
+            # generators must be exactly symmetric; rounding breaks q.T h q
+            m = q.T @ h @ q
+            return (m + m.T) / 2
+
+        rot = lie_closure([conjugated(h0), conjugated(h1)]).dimension
         assert rot == base
 
     def test_rescaling(self):
@@ -165,6 +172,17 @@ class TestClosureContract:
             for mode in ("float", "exact"):
                 with pytest.raises(ValueError, match="finite and positive"):
                     lie_closure([np.eye(2)], mode=mode, tolerance=tol)
+        h0, h1 = chain_pair(4, "uniform", 0.0, (1,))
+        bad = [(np.where(h0 != 0, np.nan, h0), "finite"),
+               (np.where(h0 != 0, np.inf, h0), "finite"),
+               (np.triu(h0), "symmetric"),
+               (h0 + 0.5j * np.eye(4), "real"),
+               (h0.astype(complex), "real"),
+               (np.where(np.eye(4) == 1, 1j, h0).astype(object), "real")]
+        for g, what in bad:
+            for mode in ("float", "exact"):
+                with pytest.raises(ValueError, match=what):
+                    lie_closure([g, h1], mode=mode)
 
 
 class TestVerdict:
@@ -404,15 +422,92 @@ def _float_oracle_fixtures():
                 yield (N, k, kappa), chain_pair(N, "uniform", kappa, (k,))
 
 
+def _record_pops(monkeypatch, pool=lie._PendingPool):
+    """Patch a deferral pool class to record, at each pop_largest that
+    returns a row, the pool's rows, scales and insertion numbers before the
+    pop. The package and the oracle each have their own class."""
+    popped = []
+    pop_largest = pool.pop_largest
+
+    def recorded(self, tol):
+        held = [a[: self.count].copy() for a in (self._rows, self._scale, self._seq)]
+        vec = pop_largest(self, tol)
+        if vec is not None:
+            popped.append(held)
+        return vec
+
+    monkeypatch.setattr(pool, "pop_largest", recorded)
+    return popped
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-def test_float_closure_matches_sequential_oracle(tol):
-    """Screening brackets in batches changes no decision: the basis is equal
-    bit for bit, and so is the bracket count."""
-    count = 0
+def test_float_closure_matches_sequential_oracle(tol, monkeypatch):
+    """Screening brackets in batches and logging deferred candidates change
+    no decision: the basis is equal bit for bit, and so is the bracket
+    count. Some fixtures must consult the pool, so the replay of the log is
+    exercised, and whenever it is, the pool holds the oracle pool's rows bit
+    for bit."""
+    popped = _record_pops(monkeypatch)
+    oracle_popped = _record_pops(monkeypatch, conftest._PendingPool)
+    count = pops = 0
     for tag, (h0, h1) in _float_oracle_fixtures():
         got = lie_closure([h0, h1], tolerance=tol)
         want = sequential_float_closure([h0, h1], h0.shape[0], tol)
         assert np.array_equal(got.basis, want.basis), tag
         assert got.commutators_evaluated == want.commutators_evaluated, tag
+        assert len(popped) == len(oracle_popped), tag
+        for held, oracle_held in zip(popped, oracle_popped):
+            assert all(np.array_equal(a, b) for a, b in zip(held, oracle_held)), tag
+        pops += len(popped)
+        popped.clear()
+        oracle_popped.clear()
         count += 1
     assert count == 162 + 25 + 19 + 70
+    assert pops
+
+
+@pytest.mark.parametrize("norm", [0.09995, 0.10005])
+def test_accept_threshold_boundary(norm, monkeypatch):
+    """A bracket of norm just below the accept threshold 0.1 is deferred and
+    reaches the basis through the pool; one just above is accepted at once.
+    Both bases equal the oracle's bit for bit: the screen may log a bracket
+    only when handle() could not accept it."""
+    popped = _record_pops(monkeypatch)
+    # unit elements i sz/sqrt2 and i(cos t + sin t sx)/sqrt2 bracket to norm sqrt2 sin t
+    t = np.arcsin(norm / np.sqrt(2))
+    mats = [np.diag([1.0, -1.0]), np.array([[np.cos(t), np.sin(t)], [np.sin(t), np.cos(t)]])]
+    got = lie_closure(mats)
+    want = sequential_float_closure(mats, 2, 1e-6)
+    assert got.dimension == 4
+    assert np.array_equal(got.basis, want.basis)
+    assert len(popped) == (norm < 0.1)
+
+
+def test_saturating_closures_never_fill_the_pool(monkeypatch):
+    """The sweep's controllable chains reach d^2 before the queue drains, so
+    their deferred candidates never enter the pool; and the screen keeps
+    all but a few brackets out of handle() (which flattens each one)."""
+    from spinctrl.acceptance import _gcd_sweep_fixtures
+
+    def refuse(*args):
+        raise AssertionError("a saturating closure filled the pool")
+
+    handled = []
+    flatten = lie._flatten
+
+    def counted(mat):
+        handled.append(None)
+        return flatten(mat)
+
+    monkeypatch.setattr(lie._PendingPool, "push", refuse)
+    monkeypatch.setattr(lie, "_flatten", counted)
+    count = evaluated = 0
+    for N, k, kappa, controllable in _gcd_sweep_fixtures():
+        if N <= 10 and controllable:
+            res = lie_closure(list(chain_pair(N, "uniform", kappa, (k,))))
+            assert res.saturated, (N, k, kappa)
+            evaluated += res.commutators_evaluated
+            count += 1
+    assert count == 128
+    # measured: 11,894 of 153,360 brackets, plus the 256 seeds
+    assert len(handled) < 0.1 * evaluated
