@@ -10,16 +10,28 @@ generated by a set G equals the smallest subspace containing G that is
 invariant under ad_g for every g in G (every bracket is a combination of
 left-nested brackets). Each accepted element is therefore bracketed against
 the generators only, which bounds the work by 2 * dim instead of dim^2 pairs.
-One loop (_close) runs with either of two echelon oracles.
+One loop (_close) runs with either of two echelon oracles, a generation at a
+time: the elements accepted since the last generation are bracketed with
+every seed in one batch, in (element, seed) order, and the oracle admits the
+batch's independent brackets in that order. This is the order of a queue
+that brackets one element at a time, so the accepted sequence and the
+bracket count, up to the stop at d^2, are those of that queue.
 
 The modular oracle runs first: int64 matrices reduced mod the prime
 _PRIME < 2**25, one preallocated reduced row echelon form per parity.
 Reduction mod p commutes with the bracket, so its rank dim_p is the rank of
-the reduced images of integer nested brackets, and dim_p <= dim_Q. When
-dim_p >= d^2 - 1 the rational closure contains su(d), which has no
+the reduced images of integer nested brackets, and dim_p <= dim_Q. A batch
+is reduced against the echelon in one product over its non-pivot columns,
+with no reduction mod p inside the product (delayed reduction: every sum
+fits in int64). Gauss-Jordan elimination inside the batch then spends numpy
+calls only on the rows it accepts, and folds them into the echelon with one
+more product. The reduced echelon form of a subspace over F_p is unique, so
+the echelon equals the one that inserting one row at a time would build.
+When dim_p >= d^2 - 1 the rational closure contains su(d), which has no
 subalgebra of codimension 1; the dimension is then d^2 if some integer seed
 has a nonzero trace (brackets are traceless) and d^2 - 1 otherwise, and the
-elements returned are the integer basis of su(d) or u(d).
+elements returned are the integer basis of su(d) or u(d), built only when
+they are read.
 
 A smaller dim_p is checked against an upper bound over Q (_dark_split). B is
 the smallest subspace that contains the ranges of the seed commutators and
@@ -27,20 +39,26 @@ is invariant under every seed, computed over the integers on vectors of
 length d; D = B-perp is the dark part, where every seed acts and every
 commutator vanishes. u(B) + span(seeds restricted to D) is then a Lie
 algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D, and
-equality certifies the dimension. For a single-node Z-control, D is spanned
+equality certifies the dimension (the integer basis of u(B) is again built
+only when read). For a single-node Z-control, D is spanned
 by the eigenstates of the drift with no weight on the control node, the
 dark states of the paper. The bound misses internal symmetries, such as the
 anticommuting one of the half-chain XX family: then, and whenever dim_p
 falls short of the bound, the big-integer oracle (fraction-free row
-elimination over the integers) reruns the loop and certifies the rank.
-The modular pass runs only when no int64 sum can overflow,
-max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
-big-integer oracle runs alone.
+elimination over the integers, one candidate at a time) reruns the loop and
+certifies the rank. The modular pass runs only when no int64 sum can
+overflow, max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2;
+otherwise the big-integer oracle runs alone.
+
+Float64 inputs are read as the exact dyadic rationals they are, by one
+vectorized pass (_dyadic_integers); other inputs go entry by entry through
+_fraction, which states the same rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +67,8 @@ import numpy as np
 IMAG = "imag"
 REAL = "real"
 
-_MAX_DENOMINATOR = 1 << 30
+_MAX_DENOMINATOR_EXPONENT = 30
+_MAX_DENOMINATOR = 1 << _MAX_DENOMINATOR_EXPONENT
 
 # Prime of the modular pass, below 2**25: a product of two residues is below
 # 2**50, so int64 holds any sum of up to 8191 of them.
@@ -59,7 +78,47 @@ _INT64_LIMIT = 1 << 63
 
 def is_rational(mat) -> bool:
     """True iff integerize accepts every entry of mat."""
-    return all(_fraction(x) is not None for x in np.asarray(mat, dtype=object).flat)
+    arr = np.asarray(mat)
+    if arr.dtype == np.float64 and arr.size:
+        exponents = _denominator_exponents(arr)
+        return exponents is not None and int(exponents.max()) <= _MAX_DENOMINATOR_EXPONENT
+    return all(_fraction(x) is not None for x in arr.astype(object).flat)
+
+
+def _denominator_exponents(arr: np.ndarray) -> np.ndarray | None:
+    """Per entry of a float64 array, the k of its exact denominator 2**k;
+    None when an entry is not finite.
+
+    frexp splits x exactly into num * 2**(e - 53) with |num| < 2**53; the
+    lowest set bit of num, 2**z, leaves the denominator 2**(53 - e - z)."""
+    if not np.isfinite(arr).all():
+        return None
+    mantissa, exponent = np.frexp(arr)
+    num = np.ldexp(mantissa, 53).astype(np.int64)
+    lowest_bit = np.frexp((num & -num).astype(np.float64))[1] - 1
+    return np.where(num == 0, 0, np.maximum(53 - exponent - lowest_bit, 0))
+
+
+def _dyadic_integers(arr: np.ndarray) -> np.ndarray | None:
+    """integerize of a float64 array in one vectorized pass: the entries
+    times 2**k, k the largest denominator exponent, divided by their gcd.
+    None when an entry is rejected or the scaled entries leave int64; the
+    per-entry path then decides."""
+    exponents = _denominator_exponents(arr) if arr.size else None
+    if exponents is None:
+        return None
+    shift = int(exponents.max())
+    if shift > _MAX_DENOMINATOR_EXPONENT:
+        return None
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(arr, shift)
+    if not (np.abs(scaled) < 2.0 ** 63).all():
+        return None
+    ints = scaled.astype(np.int64)
+    g = int(np.gcd.reduce(ints.ravel()))
+    if g > 1:
+        ints //= g
+    return ints.astype(object)
 
 
 def _fraction(x) -> Fraction | None:
@@ -86,6 +145,11 @@ def integerize(mat) -> np.ndarray:
 
     Raises ValueError on an entry that is_rational rejects.
     """
+    arr = np.asarray(mat)
+    if arr.dtype == np.float64:
+        out = _dyadic_integers(arr)
+        if out is not None:
+            return out
     rows = []
     for row in np.asarray(mat, dtype=object):
         frow = []
@@ -180,36 +244,43 @@ class _IntegerEchelon:
 
 class _IntegerOracle:
     """Big-integer arithmetic: elements are content-reduced object matrices,
-    independence is decided by the fraction-free echelons."""
+    independence is decided by the fraction-free echelons, one candidate at
+    a time."""
 
     def __init__(self, d: int):
         self.d = d
         self.echelons = {IMAG: _IntegerEchelon(), REAL: _IntegerEchelon()}
 
     @staticmethod
-    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b - b @ a
+    def brackets(seeds, generation, kinds):
+        """[g, b] for each b of generation and each seed g, in that order,
+        computed as they are read."""
+        return (g @ b - b @ g for b in generation for g in seeds)
 
-    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
-        """The matrix to keep when mat is independent of every element added
-        so far (it is then added), else None."""
-        coords = _sym_coords(mat, self.d) if kind == IMAG else _antisym_coords(mat, self.d)
-        echelon = self.echelons[kind]
-        res = echelon.residual(coords)
-        if not any(res):
-            return None
-        echelon.insert(res)
-        return _content_reduce(mat)
+    def admit(self, kinds, candidates, room: int):
+        """(taken, kept): the positions of the candidates independent of
+        every element added so far (they are then added), at most room of
+        them, and the content-reduced matrices to keep."""
+        taken, kept = [], []
+        for i, (kind, mat) in enumerate(zip(kinds, candidates)):
+            if len(taken) >= room:
+                break
+            coords = _sym_coords(mat, self.d) if kind == IMAG else _antisym_coords(mat, self.d)
+            echelon = self.echelons[kind]
+            res = echelon.residual(coords)
+            if any(res):
+                echelon.insert(res)
+                taken.append(i)
+                kept.append(_content_reduce(mat))
+        return taken, kept
 
 
 class _ModularEchelon:
     """Reduced row echelon form over F_p, preallocated as an int64 array.
 
-    A candidate's residual is one vector-matrix product; an inserted row is
-    scaled to a unit pivot, and its pivot column is eliminated from the
-    other rows. Columns before the first non-pivot column are unit columns
-    of the echelon, and a new row is zero before its pivot, so both steps
-    skip those columns.
+    Row i has a unit at column pivots[i] and zeros at every other pivot
+    column, so a candidate v reduces to v - v[pivots] @ rows, which is zero
+    at the pivot columns: only the free (non-pivot) columns are computed.
     """
 
     def __init__(self, index: tuple[np.ndarray, np.ndarray]):
@@ -217,35 +288,64 @@ class _ModularEchelon:
         width = len(index[0])
         self.rows = np.zeros((width, width), dtype=np.int64)
         self.pivots = np.zeros(width, dtype=np.intp)
-        self.is_pivot = np.zeros(width + 1, dtype=bool)
-        self.free = 0  # first non-pivot column
+        self.is_pivot = np.zeros(width, dtype=bool)
         self.count = 0
 
-    def insert(self, mat: np.ndarray) -> bool:
-        """Add mat's coordinates when they are independent mod p."""
-        vec = mat[self.index]
-        n, lo = self.count, self.free
-        rows = self.rows[:n]
+    def extend(self, mats: np.ndarray) -> list[int]:
+        """Add the coordinates of the matrices mats, in order, that are
+        independent mod p of the echelon and of the ones added before them;
+        return their positions in mats."""
+        vecs = mats[:, self.index[0], self.index[1]]
+        n = self.count
+        free = np.flatnonzero(~self.is_pivot)
+        res = vecs[:, free]
         if n:
-            vec[lo:] -= vec[self.pivots[:n]] @ rows[:, lo:]
-            vec[lo:] %= _PRIME
-        vec[:lo] = 0
-        lead = np.flatnonzero(vec)
-        if not lead.size:
-            return False
-        piv = int(lead[0])
-        tail = vec[piv:] * pow(int(vec[piv]), -1, _PRIME) % _PRIME
-        if n:
-            block = rows[:, piv:]
-            block -= np.outer(rows[:, piv], tail)
-            block %= _PRIME
-        self.rows[n, piv:] = tail
-        self.pivots[n] = piv
-        self.is_pivot[piv] = True
-        while self.is_pivot[self.free]:
-            self.free += 1
-        self.count = n + 1
-        return True
+            # delayed reduction: n products below p**2 fit in int64
+            res -= vecs[:, self.pivots[:n]] @ self.rows[:n, free]
+            res %= _PRIME
+        taken, new, lead = _eliminate(res)
+        if taken:
+            cols = free[lead]
+            if n:
+                self.rows[:n, free] = (self.rows[:n, free]
+                                       - self.rows[:n, cols] @ new) % _PRIME
+            r = len(taken)
+            self.rows[n:n + r, free] = new
+            self.pivots[n:n + r] = cols
+            self.is_pivot[cols] = True
+            self.count = n + r
+        return taken
+
+
+def _eliminate(res: np.ndarray):
+    """Gauss-Jordan elimination mod p of the rows of res, in order, in place.
+
+    Returns (taken, new, lead): the positions of the rows independent of the
+    rows before them, the reduced rows they span (row t has a unit at column
+    lead[t] and zeros at every other lead column), and those columns. Only
+    an accepted row costs numpy calls: it is scaled to a unit pivot, and its
+    pivot column is eliminated from every other row (rows rejected before it
+    are zero and stay zero). The first nonzero entry in row-major order of
+    the rows not yet visited is the next accepted row and its pivot.
+    """
+    taken: list[int] = []
+    lead: list[int] = []
+    width = res.shape[1]
+    start = 0
+    while start < len(res) and width:
+        first = int((res[start:] != 0).argmax())  # row-major: the next live row
+        i, c = start + first // width, first % width
+        if not res[i, c]:
+            break
+        unit = res[i, c:] * pow(int(res[i, c]), -1, _PRIME) % _PRIME
+        block = res[:, c:]
+        block -= block[:, :1] * unit  # row i becomes zero, then the unit row
+        block %= _PRIME
+        res[i, c:] = unit
+        taken.append(i)
+        lead.append(c)
+        start = i + 1
+    return taken, res[taken], lead
 
 
 class _ModularOracle:
@@ -260,52 +360,89 @@ class _ModularOracle:
         return (mat % _PRIME).astype(np.int64)
 
     @staticmethod
-    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a @ b - b @ a) % _PRIME
+    def brackets(seeds, generation, kinds) -> np.ndarray:
+        """[g, b] mod p for each b of generation and each seed g, in that
+        order, as one stack of matrices; kinds are the brackets' kinds.
 
-    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
-        return mat if self.echelons[kind].insert(mat) else None
+        Pure elements are symmetric or antisymmetric, so b g = +-(g b)^T,
+        with + when g and b have the same kind (the bracket is then REAL):
+        one product per bracket."""
+        prods = np.asarray(seeds)[None] @ np.asarray(generation)[:, None]
+        prods = prods.reshape(-1, *prods.shape[2:])
+        sign = np.where(np.array(kinds) == REAL, -1, 1)[:, None, None]
+        return (prods + sign * prods.transpose(0, 2, 1)) % _PRIME
+
+    def admit(self, kinds, candidates, room: int):
+        """(taken, kept): the positions of the candidates independent mod p
+        of every element added so far (they are then added), and their
+        matrices as one stack. room is not read: the two echelons hold at
+        most d^2 rows together, so a block never accepts more than the room
+        left below d^2."""
+        mats = np.asarray(candidates)
+        imag = np.array([kind == IMAG for kind in kinds])
+        taken: list[int] = []
+        for kind, mask in ((IMAG, imag), (REAL, ~imag)):
+            rows = np.flatnonzero(mask)
+            if rows.size:
+                taken += rows[self.echelons[kind].extend(mats[rows])].tolist()
+        taken.sort()
+        return taken, mats[taken]
 
 
 def _modular_fits(d: int) -> bool:
     """True when no int64 sum of the modular pass can overflow: a matrix
-    product sums d products of residues, an echelon residual at most
-    m = d(d+1)/2 of them, each below (p-1)**2."""
+    product sums d products of residues, an echelon residual or fold at
+    most m = d(d+1)/2 of them, each below (p-1)**2."""
     return max(d, d * (d + 1) // 2) * (_PRIME - 1) ** 2 < _INT64_LIMIT
 
 
 def _close(seeds, max_dimension: int, oracle):
-    """The ad-invariance loop: each kept element is bracketed with the seeds.
+    """The ad-invariance loop: each kept element is bracketed with the seeds,
+    one generation at a time.
 
     Returns (elements, brackets_evaluated), elements as (kind, matrix) in
     the oracle's arithmetic. The bracket of pure elements is pure:
     [iS1, iS2] = -[S1, S2] and [A1, A2] are antisymmetric, [iS, A] = i[S, A]
     is i times a symmetric matrix; the plain commutator is kept, since the
-    real scale is irrelevant to the span.
+    real scale is irrelevant to the span. A generation is the elements
+    accepted since the previous one; its brackets are admitted in
+    (element, seed) order, and the count stops at the bracket that fills
+    max_dimension.
     """
-    elements: list[tuple[str, np.ndarray]] = []
-
-    def try_add(kind: str, mat: np.ndarray) -> bool:
-        kept = oracle.add(kind, mat)
-        if kept is None:
-            return False
-        elements.append((kind, kept))
-        return True
-
-    for kind, mat in seeds:
-        try_add(kind, mat)
+    seed_kinds = [kind for kind, _ in seeds]
+    seed_mats = [mat for _, mat in seeds]
+    taken, generation = oracle.admit(seed_kinds, seed_mats, max_dimension)
+    kinds = [seed_kinds[i] for i in taken]
+    elements = list(zip(kinds, generation))
     evaluated = 0
-    head = 0
-    while head < len(elements) and len(elements) < max_dimension:
-        kind_b, mat_b = elements[head]
-        head += 1
-        for kind_g, mat_g in seeds:
-            evaluated += 1
-            kind_new = REAL if kind_g == kind_b else IMAG
-            if try_add(kind_new, oracle.commutator(mat_g, mat_b)) and \
-                    len(elements) >= max_dimension:
-                break
+    while kinds and len(elements) < max_dimension:
+        block_kinds = [REAL if kind_g == kind_b else IMAG
+                       for kind_b in kinds for kind_g in seed_kinds]
+        candidates = oracle.brackets(seed_mats, generation, block_kinds)
+        taken, generation = oracle.admit(block_kinds, candidates,
+                                         max_dimension - len(elements))
+        kinds = [block_kinds[i] for i in taken]
+        elements += zip(kinds, generation)
+        evaluated += taken[-1] + 1 if len(elements) >= max_dimension else len(block_kinds)
     return elements, evaluated
+
+
+class _LazyElements(Sequence):
+    """The (kind, integer matrix) list that build() returns, built on first
+    access; its length is known before."""
+
+    def __init__(self, length: int, build):
+        self._length = length
+        self._build = build
+        self._items = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if self._items is None:
+            self._items = self._build()
+        return self._items[index]
 
 
 def integer_seeds(generators) -> list[tuple[str, np.ndarray]]:
@@ -327,14 +464,14 @@ def exact_closure(generators):
     """Certified closure dimension over the rationals, up to d^2.
 
     generators: real symmetric matrices (rational entries), seeded as i*G.
-    Returns (elements, brackets_evaluated, saturated), elements a list of
-    (kind, integer matrix) spanning the closure. The modular pass decides
+    Returns (elements, brackets_evaluated, saturated), elements a sequence
+    of (kind, integer matrix) spanning the closure. The modular pass decides
     the dimension when it reaches d^2 - 1 (the elements are then the integer
     basis of su(d), and the identity for u(d), from _unitary_basis) or the
     dark-subspace bound of _dark_split (the elements are then the integer
-    basis of u(B) and the seeds with independent dark parts);
-    brackets_evaluated is then the modular pass's count. Any other closure
-    is the big-integer loop's.
+    basis of u(B) and the seeds with independent dark parts); those elements
+    are built on first access, and brackets_evaluated is the modular pass's
+    count. Any other closure is the big-integer loop's.
     """
     seeds = integer_seeds(generators)
     d = seeds[0][1].shape[0]
@@ -342,14 +479,16 @@ def exact_closure(generators):
         oracle = _ModularOracle(d)
         reduced = [(kind, oracle.reduce(mat)) for kind, mat in seeds]
         elements, evaluated = _close(reduced, d * d, oracle)
-        if len(elements) >= d * d - 1:
+        dim = len(elements)
+        del elements  # only the rank is read from here on
+        if dim >= d * d - 1:
             # brackets are traceless: only a seed can leave su(d)
             traced = any(sum(mat[i, i] for i in range(d)) != 0 for _, mat in seeds)
-            basis = _unitary_basis(d, traced)
-            return basis, evaluated, len(basis) == d * d
+            full = d * d if traced else d * d - 1
+            return _LazyElements(full, lambda: _unitary_basis(d, traced)), evaluated, traced
         span, dark = _dark_split(seeds)
-        if len(span) ** 2 + len(dark) == len(elements):
-            return _subspace_basis(span) + dark, evaluated, False
+        if len(span) ** 2 + len(dark) == dim:
+            return _LazyElements(dim, lambda: _subspace_basis(span) + dark), evaluated, False
     return integer_closure(seeds)
 
 

@@ -73,6 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _number_list(flag: str, text: str, kind, form: str) -> list:
+    """The comma-separated numbers of a flag; ValueError naming the flag
+    and its accepted form otherwise."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes {form}, got {text!r}") from None
+
+
+def _star_site(text: str):
+    """'center' or (branch, position) from the star's --control flag."""
+    if text == "center":
+        return "center"
+    try:
+        branch, position = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError("--control takes 'center' or branch:position, e.g. 1:5, "
+                         f"got {text!r}") from None
+    return branch, position
+
+
 def _emit_json(doc, path: str | None) -> None:
     if not path:
         return
@@ -140,20 +161,18 @@ def main(argv=None) -> int:
             return _run_analysis(spec, args)
 
         if args.command == "chain":
-            controls = tuple(int(x) for x in args.control.split(","))
+            controls = tuple(_number_list("--control", args.control, int,
+                                          "comma-separated node numbers, e.g. 1,3"))
             couplings = ("uniform" if args.couplings is None
-                         else [float(x) for x in args.couplings.split(",")])
+                         else _number_list("--couplings", args.couplings, float,
+                                           "comma-separated numbers, e.g. 1,0.5,2"))
             spec = make_chain(args.length, couplings, args.kappa, controls)
             return _run_analysis(spec, args)
 
         if args.command == "star":
-            lengths = tuple(int(x) for x in args.lengths.split(","))
-            if args.control == "center":
-                site = "center"
-            else:
-                p, j = args.control.split(":")
-                site = (int(p), int(j))
-            spec = make_star(StarDescriptor(lengths, site), args.kappa)
+            lengths = tuple(_number_list("--lengths", args.lengths, int,
+                                         "comma-separated branch lengths, e.g. 3,2,2"))
+            spec = make_star(StarDescriptor(lengths, _star_site(args.control)), args.kappa)
             return _run_analysis(spec, args)
 
         if args.command == "bethe":

@@ -55,6 +55,7 @@ and is the arbiter whenever the two modes disagree on rational input.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -86,7 +87,9 @@ class LieClosureResult:
     rank_tolerance: float | None
     commutators_evaluated: int
     saturated: bool
-    exact_elements: list | None = None  # exact mode: list of (kind, integer matrix)
+    # exact mode: list of (kind, integer matrix); exact-mode results build
+    # it and basis on first read
+    exact_elements: list | None = None
 
     def basis_matrices(self) -> list[np.ndarray]:
         d = self.matrix_dimension
@@ -392,15 +395,31 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
 
 def _exact_closure_result(mats, d: int) -> LieClosureResult:
     elements, evaluated, saturated = _exact.exact_closure(mats)
-    rows = []
-    for kind, mat in elements:
-        m = mat.astype(float)
-        if kind == _exact.IMAG:
-            rows.append(np.concatenate([np.zeros(d * d), m.ravel()]))
-        else:
-            rows.append(np.concatenate([m.ravel(), np.zeros(d * d)]))
-    basis = np.array(rows) if rows else np.zeros((0, 2 * d * d))
-    return LieClosureResult(dimension=len(elements), basis=basis, matrix_dimension=d,
-                            mode="exact", rank_tolerance=None,
-                            commutators_evaluated=evaluated, saturated=saturated,
-                            exact_elements=elements)
+    return _ExactClosureResult(d, elements, evaluated, saturated)
+
+
+class _ExactClosureResult(LieClosureResult):
+    """An exact-mode result whose exact_elements and float basis are built
+    when they are first read; the verdict needs only the dimension."""
+
+    def __init__(self, d: int, elements, evaluated: int, saturated: bool):
+        self.dimension = len(elements)
+        self.matrix_dimension = d
+        self.mode = "exact"
+        self.rank_tolerance = None
+        self.commutators_evaluated = evaluated
+        self.saturated = saturated
+        self._elements = elements
+
+    @functools.cached_property
+    def exact_elements(self) -> list:
+        return list(self._elements)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        d = self.matrix_dimension
+        basis = np.zeros((self.dimension, 2 * d * d))
+        for row, (kind, mat) in zip(basis, self.exact_elements):
+            half = row[d * d:] if kind == _exact.IMAG else row[:d * d]
+            half[:] = mat.astype(float).ravel()
+        return basis

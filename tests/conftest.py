@@ -19,6 +19,12 @@ candidate enters the pool on the spot. It keeps its own copies of _flatten
 and _PendingPool, so a change to the package's pool cannot change the
 oracle. The closure under test must return the same basis, bit for bit, and
 the same bracket count.
+
+sequential_exact_closure is the exact closure loop as it ran before it took
+the queue a generation at a time: one bracket at a time, each inserted into
+the modular echelon by its own rank-one update, or added to the big-integer
+echelons one by one. The loop under test must accept the same (kind,
+matrix) sequence and count the same brackets.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from spinctrl import _exact
 from spinctrl.analytic import VERIFY_TOL, control_site_residual
 from spinctrl.lie import _DEFER_THRESHOLD, LieClosureResult
 from spinctrl.symmetry import AnticommutantResult, CommutantBasis, _weight_classes
@@ -341,6 +348,122 @@ def sequential_float_closure(mats, d: int, tol: float) -> LieClosureResult:
     return LieClosureResult(dimension=nb, basis=basis[:nb].copy(), matrix_dimension=d,
                             mode="float", rank_tolerance=tol,
                             commutators_evaluated=evaluated, saturated=nb >= full)
+
+
+class _SequentialModularEchelon:
+    """Reduced row echelon form over F_p, preallocated as an int64 array.
+
+    A candidate's residual is one vector-matrix product; an inserted row is
+    scaled to a unit pivot, and its pivot column is eliminated from the
+    other rows. Columns before the first non-pivot column are unit columns
+    of the echelon, and a new row is zero before its pivot, so both steps
+    skip those columns.
+    """
+
+    def __init__(self, index: tuple[np.ndarray, np.ndarray]):
+        self.index = index  # matrix entries that are the coordinates
+        width = len(index[0])
+        self.rows = np.zeros((width, width), dtype=np.int64)
+        self.pivots = np.zeros(width, dtype=np.intp)
+        self.is_pivot = np.zeros(width + 1, dtype=bool)
+        self.free = 0  # first non-pivot column
+        self.count = 0
+
+    def insert(self, mat: np.ndarray) -> bool:
+        """Add mat's coordinates when they are independent mod p."""
+        prime = _exact._PRIME
+        vec = mat[self.index]
+        n, lo = self.count, self.free
+        rows = self.rows[:n]
+        if n:
+            vec[lo:] -= vec[self.pivots[:n]] @ rows[:, lo:]
+            vec[lo:] %= prime
+        vec[:lo] = 0
+        lead = np.flatnonzero(vec)
+        if not lead.size:
+            return False
+        piv = int(lead[0])
+        tail = vec[piv:] * pow(int(vec[piv]), -1, prime) % prime
+        if n:
+            block = rows[:, piv:]
+            block -= np.outer(rows[:, piv], tail)
+            block %= prime
+        self.rows[n, piv:] = tail
+        self.pivots[n] = piv
+        self.is_pivot[piv] = True
+        while self.is_pivot[self.free]:
+            self.free += 1
+        self.count = n + 1
+        return True
+
+
+class _SequentialModularOracle:
+    def __init__(self, d: int):
+        self.echelons = {_exact.IMAG: _SequentialModularEchelon(np.triu_indices(d)),
+                         _exact.REAL: _SequentialModularEchelon(np.triu_indices(d, 1))}
+
+    @staticmethod
+    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a @ b - b @ a) % _exact._PRIME
+
+    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
+        return mat if self.echelons[kind].insert(mat) else None
+
+
+class _SequentialIntegerOracle:
+    def __init__(self, d: int):
+        self.d = d
+        self.echelons = {_exact.IMAG: _exact._IntegerEchelon(),
+                         _exact.REAL: _exact._IntegerEchelon()}
+
+    @staticmethod
+    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b - b @ a
+
+    def add(self, kind: str, mat: np.ndarray) -> np.ndarray | None:
+        coords = (_exact._sym_coords(mat, self.d) if kind == _exact.IMAG
+                  else _exact._antisym_coords(mat, self.d))
+        echelon = self.echelons[kind]
+        res = echelon.residual(coords)
+        if not any(res):
+            return None
+        echelon.insert(res)
+        return _exact._content_reduce(mat)
+
+
+def sequential_exact_closure(seeds, modular: bool):
+    """(elements, brackets_evaluated) of the one-bracket-at-a-time loop on
+    integer seeds, reduced mod p first when modular is set."""
+    d = seeds[0][1].shape[0]
+    if modular:
+        oracle = _SequentialModularOracle(d)
+        seeds = [(kind, _exact._ModularOracle.reduce(mat)) for kind, mat in seeds]
+    else:
+        oracle = _SequentialIntegerOracle(d)
+    max_dimension = d * d
+    elements: list[tuple[str, np.ndarray]] = []
+
+    def try_add(kind: str, mat: np.ndarray) -> bool:
+        kept = oracle.add(kind, mat)
+        if kept is None:
+            return False
+        elements.append((kind, kept))
+        return True
+
+    for kind, mat in seeds:
+        try_add(kind, mat)
+    evaluated = 0
+    head = 0
+    while head < len(elements) and len(elements) < max_dimension:
+        kind_b, mat_b = elements[head]
+        head += 1
+        for kind_g, mat_g in seeds:
+            evaluated += 1
+            kind_new = _exact.REAL if kind_g == kind_b else _exact.IMAG
+            if try_add(kind_new, oracle.commutator(mat_g, mat_b)) and \
+                    len(elements) >= max_dimension:
+                break
+    return elements, evaluated
 
 
 def closed_form_eigensystem(N: int, kappa: float):

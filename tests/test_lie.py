@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import sequential_float_closure
+from conftest import sequential_exact_closure, sequential_float_closure
 from spinctrl import _exact, lie
 from spinctrl.hamiltonian import second_excitation_chain, single_excitation
 from spinctrl.lie import lie_closure, verdict
@@ -407,6 +407,109 @@ class TestModularCertificate:
         monkeypatch.setattr(_exact, "_INT64_LIMIT", 6 * (_exact._PRIME - 1) ** 2)
         h0, h1 = chain_pair(3, "uniform", 0.0, (1,))
         assert lie_closure([h0, h1], mode="exact").dimension == 9
+
+
+def _same_sequence(got, want) -> bool:
+    (elements, evaluated), (want_elements, want_evaluated) = got, want
+    return (evaluated == want_evaluated and len(elements) == len(want_elements)
+            and all(kind == want_kind and mat.dtype == want_mat.dtype
+                    and np.array_equal(mat, want_mat)
+                    for (kind, mat), (want_kind, want_mat) in zip(elements, want_elements)))
+
+
+def _modular_loop(mats):
+    d = mats[0].shape[0]
+    oracle = _exact._ModularOracle(d)
+    reduced = [(kind, oracle.reduce(m)) for kind, m in _exact.integer_seeds(mats)]
+    return _exact._close(reduced, d * d, oracle)
+
+
+class TestGenerationBlocks:
+    """_close takes the queue a generation at a time and the modular oracle
+    admits a generation's brackets as one block; both oracles must accept
+    the same (kind, matrix) sequence and count the same brackets as the
+    loop that handles one bracket at a time (tests/conftest.py)."""
+
+    def test_modular_pass_matches_sequential_loop(self):
+        fixtures = list(_gcd_sweep_pairs()) + list(_branch_table_pairs())
+        fixtures += [(("half", k), mats) for k, mats in _half_chain_pairs()]
+        fixtures += [((N, k, kappa), chain_pair(N, "uniform", kappa, (k,)))
+                     for N, k, kappa in ((23, 3, 0.0), (30, 1, 0.0), (30, 3, 1.0))]
+        assert len(fixtures) == 231 + 19 + 4 + 3
+        saturated = 0
+        for tag, mats in fixtures:
+            want = sequential_exact_closure(_exact.integer_seeds(mats), modular=True)
+            assert _same_sequence(_modular_loop(mats), want), tag
+            saturated += len(want[0]) == mats[0].shape[0] ** 2
+        assert saturated  # the stop at d^2 is exercised
+
+    def test_big_integer_loop_matches_sequential_loop(self):
+        fixtures = [mats for _, mats in _gcd_sweep_pairs(max_n=6)]
+        fixtures += [mats for _, mats in _half_chain_pairs()]
+        for mats in fixtures:
+            seeds = _exact.integer_seeds(mats)
+            got = _exact.integer_closure(seeds)
+            assert _same_sequence(got[:2], sequential_exact_closure(seeds, modular=False))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_integer_generators(self, data):
+        d = data.draw(st.integers(1, 6))
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+        def sym():
+            m = np.array([[data.draw(entries) for _ in range(d)] for _ in range(d)], float)
+            return m + m.T
+
+        mats = [sym() for _ in range(data.draw(st.integers(1, 3)))]
+        seeds = _exact.integer_seeds(mats)
+        assert _same_sequence(_exact.integer_closure(seeds)[:2],
+                              sequential_exact_closure(seeds, modular=False))
+        if d >= 2:
+            assert _same_sequence(_modular_loop(mats),
+                                  sequential_exact_closure(seeds, modular=True))
+
+
+class TestLazyExactResult:
+    """lie_closure(mode="exact") builds exact_elements and the float basis
+    only when they are read; analyze() reads neither."""
+
+    @pytest.mark.parametrize("N,k,kappa,want", [
+        (30, 1, 0.0, {"dimension": 900, "commutators_evaluated": 1795, "saturated": True,
+                      "controllable": True, "note": "dim = d^2 = 900, u(30)"}),
+        (30, 3, 1.0, {"dimension": 785, "commutators_evaluated": 1570, "saturated": False,
+                      "controllable": False, "note": "dim = 785 < d^2 = 900"}),
+    ])
+    def test_analyze_builds_no_elements(self, monkeypatch, N, k, kappa, want):
+        from spinctrl.report import analyze
+
+        def refuse(*args):
+            raise AssertionError("exact elements were built")
+
+        monkeypatch.setattr(_exact, "_unitary_basis", refuse)
+        monkeypatch.setattr(_exact, "_subspace_basis", refuse)
+        closure = analyze(make_chain(N, "uniform", kappa, (k,))).closure
+        assert closure == dict(want, skipped=False, full_dimension=900, mode="exact")
+
+    def test_peak_memory_at_d30(self):
+        import tracemalloc
+        h0, h1 = chain_pair(30, "uniform", 0.0, (1,))
+        tracemalloc.start()
+        try:
+            res = lie_closure([h0, h1], mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.dimension == 900
+        assert peak < 20e6  # 32.7 MB when the elements and basis were built eagerly
+
+    def test_elements_and_basis_on_read(self):
+        h0, h1 = chain_pair(4, "uniform", 0.0, (2,))
+        res = lie_closure([h0, h1], mode="exact")
+        assert len(res.exact_elements) == res.dimension == res.basis.shape[0] == 16
+        assert res.basis is res.basis and res.exact_elements is res.exact_elements
+        assert np.linalg.matrix_rank(res.basis) == 16
+        assert len(res.basis_matrices()) == 16
 
 
 def _float_oracle_fixtures():

@@ -307,6 +307,26 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["star", "--lengths", "3,3", "--control", "1"],
+         "--control takes 'center' or branch:position, e.g. 1:5, got '1'"),
+        (["star", "--lengths", "3,3", "--control", "1:x"],
+         "--control takes 'center' or branch:position, e.g. 1:5, got '1:x'"),
+        (["star", "--lengths", "3,3", "--control", "1:2:3"],
+         "--control takes 'center' or branch:position, e.g. 1:5, got '1:2:3'"),
+        (["star", "--lengths", "3,,2"],
+         "--lengths takes comma-separated branch lengths, e.g. 3,2,2, got '3,,2'"),
+        (["chain", "--length", "4", "--control", "1,,2"],
+         "--control takes comma-separated node numbers, e.g. 1,3, got '1,,2'"),
+        (["chain", "--length", "4", "--control", "1", "--couplings", "1,a,1"],
+         "--couplings takes comma-separated numbers, e.g. 1,0.5,2, got '1,a,1'"),
+    ])
+    def test_flag_parse_error_names_the_flag(self, argv, message, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["chain", "--length", "4", "--kappa", "0.7071067811865476", "--control", "1"],
