@@ -15,7 +15,10 @@ time: the elements accepted since the last generation are bracketed with
 every seed in one batch, in (element, seed) order, and the oracle admits the
 batch's independent brackets in that order. This is the order of a queue
 that brackets one element at a time, so the accepted sequence and the
-bracket count, up to the stop at d^2, are those of that queue.
+bracket count, up to the stop at d^2, are those of that queue. _close
+counts the accepted elements and holds only the current generation: the
+big-integer oracle keeps every element it admits, the modular oracle only
+its echelons.
 
 The modular oracle runs first: int64 matrices reduced mod the prime
 _PRIME < 2**25, one preallocated reduced row echelon form per parity.
@@ -29,9 +32,10 @@ more product. The reduced echelon form of a subspace over F_p is unique, so
 the echelon equals the one that inserting one row at a time would build.
 When dim_p >= d^2 - 1 the rational closure contains su(d), which has no
 subalgebra of codimension 1; the dimension is then d^2 if some integer seed
-has a nonzero trace (brackets are traceless) and d^2 - 1 otherwise, and the
-elements returned are the integer basis of su(d) or u(d), built only when
-they are read.
+has a nonzero trace (brackets are traceless) and d^2 - 1 otherwise.
+exact_closure returns the dimension with a function that builds the
+elements, here the integer basis of su(d) or u(d); a caller that reads only
+the dimension never builds them.
 
 A smaller dim_p is checked against an upper bound over Q (_dark_split). B is
 the smallest subspace that contains the ranges of the seed commutators and
@@ -39,16 +43,17 @@ is invariant under every seed, computed over the integers on vectors of
 length d; D = B-perp is the dark part, where every seed acts and every
 commutator vanishes. u(B) + span(seeds restricted to D) is then a Lie
 algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D, and
-equality certifies the dimension (the integer basis of u(B) is again built
-only when read). For a single-node Z-control, D is spanned
-by the eigenstates of the drift with no weight on the control node, the
-dark states of the paper. The bound misses internal symmetries, such as the
-anticommuting one of the half-chain XX family: then, and whenever dim_p
-falls short of the bound, the big-integer oracle (fraction-free row
-elimination over the integers, one candidate at a time) reruns the loop and
-certifies the rank. The modular pass runs only when no int64 sum can
-overflow, max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2;
-otherwise the big-integer oracle runs alone.
+equality certifies the dimension (the elements are then the integer basis
+of u(B) and the seeds with independent dark parts). For a single-node
+Z-control, D is spanned by the eigenstates of the drift with no weight on
+the control node, the dark states of the paper. The bound misses internal
+symmetries, such as the anticommuting one of the half-chain XX family:
+then, and whenever dim_p falls short of the bound, the big-integer oracle
+(fraction-free row elimination over the integers, one candidate at a time)
+reruns the loop, certifies the rank and supplies the elements. The modular
+pass runs only when no int64 sum can overflow,
+max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
+big-integer oracle runs alone.
 
 Float64 inputs are read as the exact dyadic rationals they are, by one
 vectorized pass (_dyadic_integers); other inputs go entry by entry through
@@ -58,7 +63,6 @@ _fraction, which states the same rule.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +254,7 @@ class _IntegerOracle:
     def __init__(self, d: int):
         self.d = d
         self.echelons = {IMAG: _IntegerEchelon(), REAL: _IntegerEchelon()}
+        self.elements: list[tuple[str, np.ndarray]] = []  # every admitted element
 
     @staticmethod
     def brackets(seeds, generation, kinds):
@@ -259,8 +264,9 @@ class _IntegerOracle:
 
     def admit(self, kinds, candidates, room: int):
         """(taken, kept): the positions of the candidates independent of
-        every element added so far (they are then added), at most room of
-        them, and the content-reduced matrices to keep."""
+        every element added so far (they are then added, and appended to
+        elements), at most room of them, and their content-reduced
+        matrices."""
         taken, kept = [], []
         for i, (kind, mat) in enumerate(zip(kinds, candidates)):
             if len(taken) >= room:
@@ -272,6 +278,7 @@ class _IntegerOracle:
                 echelon.insert(res)
                 taken.append(i)
                 kept.append(_content_reduce(mat))
+                self.elements.append((kind, kept[-1]))
         return taken, kept
 
 
@@ -397,52 +404,35 @@ def _modular_fits(d: int) -> bool:
 
 
 def _close(seeds, max_dimension: int, oracle):
-    """The ad-invariance loop: each kept element is bracketed with the seeds,
-    one generation at a time.
+    """The ad-invariance loop: each accepted element is bracketed with the
+    seeds, one generation at a time.
 
-    Returns (elements, brackets_evaluated), elements as (kind, matrix) in
-    the oracle's arithmetic. The bracket of pure elements is pure:
-    [iS1, iS2] = -[S1, S2] and [A1, A2] are antisymmetric, [iS, A] = i[S, A]
-    is i times a symmetric matrix; the plain commutator is kept, since the
-    real scale is irrelevant to the span. A generation is the elements
-    accepted since the previous one; its brackets are admitted in
-    (element, seed) order, and the count stops at the bracket that fills
-    max_dimension.
+    Returns (dimension, brackets_evaluated): the number of elements the
+    oracle accepted, and the brackets counted. Only the current generation
+    is held here; an oracle keeps whatever else it needs. The bracket of
+    pure elements is pure: [iS1, iS2] = -[S1, S2] and [A1, A2] are
+    antisymmetric, [iS, A] = i[S, A] is i times a symmetric matrix; the
+    plain commutator is kept, since the real scale is irrelevant to the
+    span. A generation is the elements accepted since the previous one; its
+    brackets are admitted in (element, seed) order, and the count stops at
+    the bracket that fills max_dimension.
     """
     seed_kinds = [kind for kind, _ in seeds]
     seed_mats = [mat for _, mat in seeds]
     taken, generation = oracle.admit(seed_kinds, seed_mats, max_dimension)
     kinds = [seed_kinds[i] for i in taken]
-    elements = list(zip(kinds, generation))
+    dimension = len(taken)
     evaluated = 0
-    while kinds and len(elements) < max_dimension:
+    while kinds and dimension < max_dimension:
         block_kinds = [REAL if kind_g == kind_b else IMAG
                        for kind_b in kinds for kind_g in seed_kinds]
         candidates = oracle.brackets(seed_mats, generation, block_kinds)
         taken, generation = oracle.admit(block_kinds, candidates,
-                                         max_dimension - len(elements))
+                                         max_dimension - dimension)
         kinds = [block_kinds[i] for i in taken]
-        elements += zip(kinds, generation)
-        evaluated += taken[-1] + 1 if len(elements) >= max_dimension else len(block_kinds)
-    return elements, evaluated
-
-
-class _LazyElements(Sequence):
-    """The (kind, integer matrix) list that build() returns, built on first
-    access; its length is known before."""
-
-    def __init__(self, length: int, build):
-        self._length = length
-        self._build = build
-        self._items = None
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if self._items is None:
-            self._items = self._build()
-        return self._items[index]
+        dimension += len(taken)
+        evaluated += taken[-1] + 1 if dimension >= max_dimension else len(block_kinds)
+    return dimension, evaluated
 
 
 def integer_seeds(generators) -> list[tuple[str, np.ndarray]]:
@@ -456,40 +446,40 @@ def integer_closure(seeds):
     """The big-integer loop alone: (elements, brackets_evaluated, saturated)
     with elements as (kind, content-reduced integer matrix)."""
     d = seeds[0][1].shape[0]
-    elements, evaluated = _close(seeds, d * d, _IntegerOracle(d))
-    return elements, evaluated, len(elements) >= d * d
+    oracle = _IntegerOracle(d)
+    dimension, evaluated = _close(seeds, d * d, oracle)
+    return oracle.elements, evaluated, dimension >= d * d
 
 
 def exact_closure(generators):
     """Certified closure dimension over the rationals, up to d^2.
 
     generators: real symmetric matrices (rational entries), seeded as i*G.
-    Returns (elements, brackets_evaluated, saturated), elements a sequence
-    of (kind, integer matrix) spanning the closure. The modular pass decides
-    the dimension when it reaches d^2 - 1 (the elements are then the integer
-    basis of su(d), and the identity for u(d), from _unitary_basis) or the
-    dark-subspace bound of _dark_split (the elements are then the integer
-    basis of u(B) and the seeds with independent dark parts); those elements
-    are built on first access, and brackets_evaluated is the modular pass's
-    count. Any other closure is the big-integer loop's.
+    Returns (dimension, build, brackets_evaluated, saturated); build() takes
+    no argument and returns the (kind, integer matrix) elements that span
+    the closure. The modular pass decides the dimension when it reaches
+    d^2 - 1 (build gives the integer basis of su(d), and the identity for
+    u(d), from _unitary_basis) or the dark-subspace bound of _dark_split
+    (build gives the integer basis of u(B) and the seeds with independent
+    dark parts); brackets_evaluated is then the modular pass's count. Any
+    other closure is the big-integer loop's, and build returns its elements.
     """
     seeds = integer_seeds(generators)
     d = seeds[0][1].shape[0]
     if d >= 2 and _modular_fits(d):
         oracle = _ModularOracle(d)
         reduced = [(kind, oracle.reduce(mat)) for kind, mat in seeds]
-        elements, evaluated = _close(reduced, d * d, oracle)
-        dim = len(elements)
-        del elements  # only the rank is read from here on
-        if dim >= d * d - 1:
+        dimension, evaluated = _close(reduced, d * d, oracle)
+        if dimension >= d * d - 1:
             # brackets are traceless: only a seed can leave su(d)
             traced = any(sum(mat[i, i] for i in range(d)) != 0 for _, mat in seeds)
             full = d * d if traced else d * d - 1
-            return _LazyElements(full, lambda: _unitary_basis(d, traced)), evaluated, traced
+            return full, lambda: _unitary_basis(d, traced), evaluated, traced
         span, dark = _dark_split(seeds)
-        if len(span) ** 2 + len(dark) == dim:
-            return _LazyElements(dim, lambda: _subspace_basis(span) + dark), evaluated, False
-    return integer_closure(seeds)
+        if len(span) ** 2 + len(dark) == dimension:
+            return dimension, lambda: _subspace_basis(span) + dark, evaluated, False
+    elements, evaluated, saturated = integer_closure(seeds)
+    return len(elements), lambda: elements, evaluated, saturated
 
 
 def _dark_split(seeds):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -115,8 +114,8 @@ def _gcd_sweep_fixtures():
 def _gcd_sweep_verdicts(tolerance: float) -> tuple:
     """Float-closure verdicts of the gcd sweep, in fixture order.
 
-    Criteria 4 and 13 share them within one pass; run_criteria clears the
-    cache first, so every pass computes its own.
+    Criteria 4 and 13 share them within one pass; _timed_criteria clears
+    the cache first, so every pass computes its own.
     """
     return tuple(
         verdict(lie_closure(list(_chain_pair(N, "uniform", kappa, (k,))),
@@ -333,11 +332,12 @@ def criterion_10(seed: int) -> CriterionResult:
                            not bad, lines)
 
 
-def _random_chains(seed: int):
-    """Criterion 11's 25 connected chains (N, couplings, kappa, k) with
-    random couplings, anisotropy and control site."""
+def _random_chains(seed: int, count: int = 25):
+    """Connected chains (N, couplings, kappa, k) with random couplings,
+    anisotropy and control site: criterion 11 takes the first 25, criterion
+    12 the first 30."""
     rng = np.random.default_rng(seed)
-    for _ in range(25):
+    for _ in range(count):
         N = int(rng.integers(3, 11))
         couplings = rng.uniform(0.2, 2.0, N - 1)
         kappa = float(rng.uniform(-2.0, 2.0))
@@ -406,12 +406,7 @@ def criterion_12(seed: int) -> CriterionResult:
             controls = tuple(range(1, k + 1))
             h0, h1 = _chain_pair(N, "uniform", 0.0, controls)
             check(h0, h1, controls, ("collective", N, k))
-    rng = np.random.default_rng(seed)
-    for _ in range(30):
-        N = int(rng.integers(3, 11))
-        couplings = rng.uniform(0.2, 2.0, N - 1)
-        kappa = float(rng.uniform(-2.0, 2.0))
-        k = int(rng.integers(1, N + 1))
+    for N, couplings, kappa, k in _random_chains(seed, 30):
         h0, h1 = _chain_pair(N, couplings, kappa, (k,))
         check(h0, h1, (k,), ("random", N, k))
     lines = [f"{count} chain fixtures: equivalence failures {bad if bad else 'none'}"]
@@ -441,11 +436,6 @@ def criterion_13(tolerance: float = DEFAULT_TOL) -> CriterionResult:
              f"{bad if bad else 'none'}"]
     return CriterionResult(13, "float and exact closure dimensions agree", not bad,
                            lines)
-
-
-def run_criteria(seed: int = 0, tolerance: float = DEFAULT_TOL) -> list[CriterionResult]:
-    """Criteria 1-13 in order, deterministically for a fixed seed."""
-    return _timed_criteria(seed, tolerance)[0]
 
 
 def _timed_criteria(seed: int, tolerance: float):

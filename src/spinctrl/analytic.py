@@ -17,7 +17,7 @@ import numpy as np
 
 from .hamiltonian import single_excitation
 from .network import make_chain
-from .symmetry import _eigen_groups, dark_states
+from .symmetry import _DEGENERACY_TOL, _eigen_groups, _scale
 
 _POLE_TOL = 1e-12
 _DEDUP_TOL = 1e-10
@@ -59,9 +59,8 @@ def control_site_residual(N: int, kappa: float, k: int) -> float:
     spec = make_chain(N, "uniform", kappa, controls=(k,))
     sub = single_excitation(spec)
     w, v = np.linalg.eigh(sub.h0)
-    scale = max(1.0, float(np.abs(w).max()))
     best = np.inf
-    for lo, hi in _eigen_groups(w, 1e-10 * scale):
+    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * _scale(w)):
         # a degenerate eigenspace always contains a zero of one coordinate
         if hi - lo >= 2:
             return 0.0

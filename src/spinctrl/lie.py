@@ -125,7 +125,7 @@ def lie_closure(generators, mode: str = "float",
             raise ValueError("generators must be square matrices of equal size")
         _check_real_symmetric(g)
     if mode == "exact":
-        return _exact_closure_result(mats, d)
+        return _ExactClosureResult(d, *_exact.exact_closure(mats))
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
     return _float_closure(mats, d, tolerance)
@@ -393,27 +393,22 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
                             commutators_evaluated=evaluated, saturated=nb >= full)
 
 
-def _exact_closure_result(mats, d: int) -> LieClosureResult:
-    elements, evaluated, saturated = _exact.exact_closure(mats)
-    return _ExactClosureResult(d, elements, evaluated, saturated)
-
-
 class _ExactClosureResult(LieClosureResult):
     """An exact-mode result whose exact_elements and float basis are built
     when they are first read; the verdict needs only the dimension."""
 
-    def __init__(self, d: int, elements, evaluated: int, saturated: bool):
-        self.dimension = len(elements)
+    def __init__(self, d: int, dimension: int, build, evaluated: int, saturated: bool):
+        self.dimension = dimension
         self.matrix_dimension = d
         self.mode = "exact"
         self.rank_tolerance = None
         self.commutators_evaluated = evaluated
         self.saturated = saturated
-        self._elements = elements
+        self._build = build
 
     @functools.cached_property
     def exact_elements(self) -> list:
-        return list(self._elements)
+        return self._build()
 
     @functools.cached_property
     def basis(self) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # Largest network accepted. The detectors' worst case is a highly degenerate
@@ -245,7 +245,7 @@ def parse_network(text: str) -> NetworkSpec:
 
     if ttype == "chain" and "length" in topo:
         length = topo["length"]
-        if not isinstance(length, int) or length < 2:
+        if not _is_int(length) or length < 2:
             raise InvalidNetworkError("topology.length: expected integer >= 2")
         _check_size(length, "topology.length")
         controls = _parse_controls(doc, length)
@@ -261,7 +261,7 @@ def parse_network(text: str) -> NetworkSpec:
     if "nodes" not in doc:
         raise InvalidNetworkError("nodes: missing")
     n = doc["nodes"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidNetworkError("nodes: expected positive integer")
     _check_size(n, "nodes")
     raw_edges = doc.get("edges")
@@ -272,7 +272,7 @@ def parse_network(text: str) -> NetworkSpec:
         if not (isinstance(e, list) and len(e) == 3):
             raise InvalidNetworkError(f"edges[{i}]: expected [m, n, gamma]")
         m, nn, g = e
-        if not (isinstance(m, int) and isinstance(nn, int)):
+        if not (_is_int(m) and _is_int(nn)):
             raise InvalidNetworkError(f"edges[{i}]: expected [int, int, number]")
         g = _parse_number(g, f"edges[{i}][2]")
         if m > nn:
@@ -284,15 +284,21 @@ def parse_network(text: str) -> NetworkSpec:
         if not isinstance(lengths, list):
             raise InvalidNetworkError("topology.lengths: expected a list of integers")
         for i, x in enumerate(lengths):
-            if not isinstance(x, int):
+            if not _is_int(x):
                 raise InvalidNetworkError(f"topology.lengths[{i}]: expected integer")
         lengths = tuple(lengths)
     return NetworkSpec(node_count=n, edges=tuple(sorted(edges)), kappa=kappa,
                        controls=controls, topology=ttype, star_lengths=lengths)
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON booleans parse to bool, a subclass of
+    int, and are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_number(x, path: str) -> float:
-    if not isinstance(x, (int, float)):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidNetworkError(f"{path}: expected a number")
     try:
         return float(x)
@@ -306,7 +312,7 @@ def _parse_controls(doc, n: int) -> tuple[int, ...]:
         raise InvalidNetworkError("controls: expected a nonempty list")
     out = []
     for i, k in enumerate(raw):
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise InvalidNetworkError(f"controls[{i}]: expected integer node index")
         if not (1 <= k <= n):
             raise InvalidNetworkError(f"controls[{i}]: index {k} out of range 1..{n}")

@@ -222,19 +222,21 @@ def _branch_table_pairs():
 
 
 def _closure_summary(result):
-    elements, evaluated, saturated = result
-    return len(elements), evaluated, saturated
+    """(dimension, brackets_evaluated, saturated) of an exact_closure result."""
+    dimension, _, evaluated, saturated = result
+    return dimension, evaluated, saturated
 
 
 def _integer_loop(mats):
-    return _closure_summary(_exact.integer_closure(_exact.integer_seeds(mats)))
+    elements, evaluated, saturated = _exact.integer_closure(_exact.integer_seeds(mats))
+    return len(elements), evaluated, saturated
 
 
 def _modular_dimension(mats):
     d = mats[0].shape[0]
     oracle = _exact._ModularOracle(d)
     reduced = [(kind, oracle.reduce(m)) for kind, m in _exact.integer_seeds(mats)]
-    return len(_exact._close(reduced, d * d, oracle)[0])
+    return _exact._close(reduced, d * d, oracle)[0]
 
 
 def _dark_bound(mats):
@@ -303,7 +305,7 @@ class TestModularCertificate:
         # elements in another order, and so count other brackets
         for i, mats in enumerate(fixtures):
             before = len(fallbacks)
-            got.append(len(_exact.exact_closure(mats)[0]))
+            got.append(_exact.exact_closure(mats)[0])
             if len(fallbacks) > before:
                 fell.append(i)
         assert got == want
@@ -418,10 +420,23 @@ def _same_sequence(got, want) -> bool:
 
 
 def _modular_loop(mats):
+    """(elements, brackets_evaluated) of the modular pass, the elements
+    recorded as the oracle admits them: the oracle itself keeps none."""
     d = mats[0].shape[0]
     oracle = _exact._ModularOracle(d)
+    admit = oracle.admit
+    elements = []
+
+    def recorded(kinds, candidates, room):
+        taken, kept = admit(kinds, candidates, room)
+        elements.extend(zip([kinds[i] for i in taken], kept))
+        return taken, kept
+
+    oracle.admit = recorded
     reduced = [(kind, oracle.reduce(m)) for kind, m in _exact.integer_seeds(mats)]
-    return _exact._close(reduced, d * d, oracle)
+    dimension, evaluated = _exact._close(reduced, d * d, oracle)
+    assert dimension == len(elements)
+    return elements, evaluated
 
 
 class TestGenerationBlocks:
@@ -501,7 +516,31 @@ class TestLazyExactResult:
         finally:
             tracemalloc.stop()
         assert res.dimension == 900
-        assert peak < 20e6  # 32.7 MB when the elements and basis were built eagerly
+        # 6.1 MB measured; building the elements and basis eagerly reads
+        # 32.7 MB, keeping every accepted residue matrix 10.4 MB
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fallback_elements_are_the_integer_loop(self, monkeypatch, k):
+        # the dark bound misses the half-chain family's internal symmetry,
+        # so these closures take the big-integer loop
+        h0, h1 = chain_pair(2 * k, "uniform", 0.0, tuple(range(1, k + 1)))
+        want, evaluated, saturated = _exact.integer_closure(_exact.integer_seeds([h0, h1]))
+        integer_closure = _exact.integer_closure
+        fallbacks = []
+
+        def counted(seeds):
+            fallbacks.append(seeds)
+            return integer_closure(seeds)
+
+        monkeypatch.setattr(_exact, "integer_closure", counted)
+        res = lie_closure([h0, h1], mode="exact")
+        assert len(fallbacks) == 1
+        assert res.dimension == len(want) == k * (2 * k + 1) + 1
+        assert res.saturated == saturated
+        assert _same_sequence((res.exact_elements, res.commutators_evaluated),
+                              (want, evaluated))
+        assert np.linalg.matrix_rank(res.basis) == res.dimension
 
     def test_elements_and_basis_on_read(self):
         h0, h1 = chain_pair(4, "uniform", 0.0, (2,))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from spinctrl import _exact
 from spinctrl.cli import main
 from spinctrl.hamiltonian import single_excitation
-from spinctrl.network import MAX_NODES, NetworkSpec, StarDescriptor, make_chain, make_star
+from spinctrl.network import (MAX_NODES, InvalidNetworkError, NetworkSpec, StarDescriptor,
+                              make_chain, make_star, parse_network)
 from spinctrl.report import analyze, reproduce_table
 
 
@@ -280,6 +281,29 @@ class TestCli:
         rc = main(["analyze", "--input", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"nodes": True, "edges": [], "controls": [1]}, "nodes"),
+        ({"nodes": 3, "edges": [[1, 2, 1.0]], "controls": [True]}, r"controls\[0\]"),
+        ({"nodes": 3, "edges": [[1, 2, 1.0]], "controls": [1], "kappa": True}, "kappa"),
+        ({"nodes": 3, "edges": [[1, 2, True]], "controls": [1]}, r"edges\[0\]\[2\]"),
+        ({"nodes": 3, "edges": [[True, 2, 1.0]], "controls": [1]}, r"edges\[0\]"),
+        ({"nodes": 3, "edges": [[1, 2, 1.0], [1, 3, 1.0]], "controls": [1],
+          "topology": {"type": "star", "lengths": [True, 2]}}, r"topology\.lengths\[0\]"),
+        ({"controls": [1], "topology": {"type": "chain", "length": True}}, "topology.length"),
+        ({"controls": [1], "topology": {"type": "chain", "length": 3,
+                                        "couplings": [1, False]}}, r"topology\.couplings\[1\]"),
+    ])
+    def test_json_booleans_are_not_numbers(self, doc, path, tmp_path, capsys):
+        # bool is a subclass of int in Python, but true is not a node index
+        with pytest.raises(InvalidNetworkError, match=f"^{path}: expected"):
+            parse_network(json.dumps(doc))
+        file = tmp_path / "bool.json"
+        file.write_text(json.dumps(doc))
+        rc = main(["analyze", "--input", str(file)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [
         {"controls": [1], "topology": {"type": "chain", "length": 10**400}},
