@@ -11,8 +11,9 @@ from .lie import ControllabilityVerdict, LieClosureResult, lie_closure, verdict
 from .network import (InvalidNetworkError, NetworkSpec, StarDescriptor, make_chain,
                       make_star, parse_network, serialize_network)
 from .report import AnalysisReport, TableReport, analyze, reproduce_table
-from .symmetry import (AnticommutantResult, AutomorphismGenerators, CommutantBasis,
-                       DarkStateSet, DecompositionReport, InternalSymmetryCertificate,
+from .symmetry import (AnticommutantResult, AutomorphismGenerators, BrightStructure,
+                       CommutantBasis, DarkStateSet, DecompositionReport,
+                       InternalSymmetryCertificate, bright_structure,
                        certify_internal_symmetry, commutant, dark_states,
                        decompose, graph_automorphisms, internal_symmetry)
 
@@ -20,12 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "AnticommutantResult", "AutomorphismGenerators",
-    "BetheEnumeration", "BetheSolution",
+    "BetheEnumeration", "BetheSolution", "BrightStructure",
     "CommutantBasis", "ControllabilityVerdict", "DarkStateSet",
     "DecompositionReport", "InternalSymmetryCertificate", "InvalidNetworkError",
     "LieClosureResult",
     "NetworkSpec", "StarDescriptor", "SubspaceHamiltonian",
-    "TableReport", "analyze", "bethe_symmetric_kappas", "certify_internal_symmetry",
+    "TableReport", "analyze", "bethe_symmetric_kappas", "bright_structure",
+    "certify_internal_symmetry",
     "commutant", "control_matrix", "dark_states",
     "decompose", "graph_automorphisms", "half_chain_witness",
     "heisenberg_controllable", "internal_symmetry",

@@ -17,15 +17,20 @@ from .report import analyze, reproduce_table
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="closure rank tolerance, for float closures only (a network "
-                        "whose Hamiltonian entries are all small-denominator "
-                        "rationals is closed exactly)")
+                   help="closure rank tolerance, for float closures only: those of "
+                        "networks with more than one control and an entry that is "
+                        "no small-denominator rational (rational networks are "
+                        "closed exactly, single-node ones read their dimension "
+                        "off the bright subspace)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the generic-element draws")
     p.add_argument("--json", dest="json_out", metavar="PATH",
                    help="also write the full report as JSON ('-' for stdout)")
     p.add_argument("--skip-closure-above", type=int, default=40, metavar="D",
-                   help="skip the closure when the subspace dimension exceeds D")
+                   help="skip the exact or float closure when the subspace "
+                        "dimension exceeds D; a single-node network with an "
+                        "irrational entry, whose dimension comes from the bright "
+                        "subspace, is never skipped")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +110,10 @@ def _emit_json(doc, path: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _margin(value) -> str:
+    return "none" if value is None else f"{value:.2e}"
+
+
 def _print_analysis(rep) -> None:
     net = rep.network
     print(f"network: {net['nodes']} nodes, {len(net['edges'])} edges, "
@@ -119,6 +128,14 @@ def _print_analysis(rep) -> None:
               f"[{cl['mode']}] -> "
               f"{'controllable' if cl['controllable'] else 'NOT controllable'} "
               f"({cl['note']})")
+    st = rep.structure
+    if st is not None:
+        print(f"structure: n_B={st['bright_dimension']}, r={st['trace_rank']}, "
+              f"dim={st['dimension']}, margin: overlaps bright >= "
+              f"{_margin(st['min_bright_overlap'])}, dark <= "
+              f"{_margin(st['max_dark_overlap'])}; relative gaps split >= "
+              f"{_margin(st['min_split_gap'])}, merged <= "
+              f"{_margin(st['max_merged_gap'])}")
     print(f"commutant dimension: {rep.commutant_dimension}")
     ds = rep.dark_states
     print(f"dark states: {ds['count']}"

@@ -46,15 +46,17 @@ def single_excitation(spec: NetworkSpec) -> SubspaceHamiltonian:
     h0 = np.zeros((n, n))
     strength = np.zeros(n)  # sum of couplings at each node
     total = 0.0
-    for m, q, g in spec.edges:
-        h0[m - 1, q - 1] = g
-        h0[q - 1, m - 1] = g
-        strength[m - 1] += g
-        strength[q - 1] += g
-        total += g
-    mu0 = 0.5 * spec.kappa * total
-    for v in range(n):
-        h0[v, v] = mu0 - spec.kappa * strength[v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, q, g in spec.edges:
+            h0[m - 1, q - 1] = g
+            h0[q - 1, m - 1] = g
+            strength[m - 1] += g
+            strength[q - 1] += g
+            total += g
+        mu0 = 0.5 * spec.kappa * total
+        for v in range(n):
+            h0[v, v] = mu0 - spec.kappa * strength[v]
+    _check_finite(h0, spec)
     labels = tuple((i,) for i in range(1, n + 1))
     h1 = control_matrix(spec, labels)
     return SubspaceHamiltonian(dimension=n, basis_labels=labels, h0=h0, h1=h1,
@@ -97,11 +99,22 @@ def second_excitation_chain(spec: NetworkSpec) -> SubspaceHamiltonian:
             sq = -1.0 if q in occupied else 1.0
             acc += 0.5 * spec.kappa * g * sm * sq
         diag[i] = acc
-    diag -= diag.min()
-    h0 += np.diag(diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag -= diag.min()
+        h0 += np.diag(diag)
+    _check_finite(h0, spec)
     h1 = control_matrix(spec, labels)
     return SubspaceHamiltonian(dimension=d, basis_labels=labels, h0=h0, h1=h1,
                                excitation_number=2)
+
+
+def _check_finite(h0: np.ndarray, spec: NetworkSpec) -> None:
+    """ValueError when the couplings and kappa overflow an entry of h0."""
+    if not np.isfinite(h0).all():
+        largest = max((abs(g) for _, _, g in spec.edges), default=0.0)
+        raise ValueError(
+            "the couplings and kappa overflow the drift: an entry of h0 is not "
+            f"finite (largest |coupling| {largest:g}, kappa {spec.kappa:g})")
 
 
 def control_matrix(spec: NetworkSpec, basis_labels) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Analysis pipeline and table regeneration.
 
 analyze() runs the detectors and the closure over one network and bundles
-the results with consistency flags. The closure arithmetic follows from the
-network: exact when every entry of h0 and h1 is a small-denominator rational
-(the rule _exact.integerize applies), so the rank is certified; float with
-the given tolerance otherwise. reproduce_table() recomputes a bundled
+the results with consistency flags. The closure follows from the network:
+exact when every entry of h0 and h1 is a small-denominator rational (the
+rule _exact.integerize applies), so the rank is certified; otherwise, for a
+single controlled node, the dimension n_B^2 - 1 + r that
+symmetry.bright_structure reads off the bright subspace; otherwise a float
+closure at the given tolerance. reproduce_table() recomputes a bundled
 reference table from scratch and diffs it row by row; branch-table rows are
 closed in exact mode (their data is integer, so ranks are certified), with
 a float cross-check recorded per row.
@@ -24,8 +26,8 @@ from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
 from .hamiltonian import second_excitation_chain, single_excitation
 from .lie import check_tolerance, lie_closure, verdict
 from .network import NetworkSpec, StarDescriptor, make_chain, make_star
-from .symmetry import (commutant, dark_states, decompose, graph_automorphisms,
-                       internal_symmetry)
+from .symmetry import (bright_structure, commutant, dark_states, decompose,
+                       graph_automorphisms, internal_symmetry)
 
 SYMMETRY_TOL = 1e-9
 DARK_TOL = 1e-8
@@ -36,6 +38,7 @@ class AnalysisReport:
     network: dict
     subspace_dimension: int
     closure: dict
+    structure: dict | None
     commutant_dimension: int
     dark_states: dict
     internal_symmetry: dict
@@ -55,12 +58,20 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
             skip_closure_above: int = 40) -> AnalysisReport:
     """Full pipeline: subspace Hamiltonians, detectors, closure, predicates.
 
-    The closure runs once, in exact arithmetic when _exact.is_rational
-    accepts both h0 and h1 (closure["mode"] == "exact", a certified rank)
-    and in float arithmetic with rank tolerance `tolerance` otherwise.
-    timings holds the seconds spent in each stage and each detector.
-    A tolerance that is not finite and positive raises ValueError, also
-    when the closure is skipped.
+    A network with one control gets `structure`, the closure dimension
+    n_B^2 - 1 + r read off the bright subspace (symmetry.bright_structure,
+    one eigendecomposition); with more controls `structure` is None. The
+    closure then comes from one of three places:
+      - exact arithmetic when _exact.is_rational accepts both h0 and h1
+        (closure["mode"] == "exact", a certified rank; a single-node network
+        also gets consistency["closure_vs_structure"]);
+      - otherwise, for one control, the structure itself (mode "structure",
+        no brackets evaluated);
+      - otherwise a float closure with rank tolerance `tolerance`.
+    `skip_closure_above` caps the exact and float closures only: a closure
+    taken from the structure is never skipped. timings holds the seconds
+    spent in each stage and each detector. A tolerance that is not finite
+    and positive raises ValueError, also when no float closure runs.
     """
     check_tolerance(tolerance)
     timings = {}
@@ -80,27 +91,25 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     anti = timed("internal_symmetry", internal_symmetry, h0, h1, SYMMETRY_TOL)
     autos = timed("automorphisms", graph_automorphisms, spec)
     blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL, seed=seed)
+    structure = None
+    if len(spec.controls) == 1:
+        structure = timed("structure", bright_structure, h0, spec.controls[0], DARK_TOL)
 
     t0 = time.perf_counter()
-    closure_skipped = d > skip_closure_above
-    if closure_skipped:
+    rational = _exact.is_rational(h0) and _exact.is_rational(h1)
+    vd = None
+    if structure is not None and not rational:
+        vd = verdict(structure, d)
+        closure_info = _closure_info(vd, "structure", 0, vd.dimension == d * d)
+    elif d > skip_closure_above:
         closure_info = {"skipped": True,
                         "reason": f"d = {d} exceeds cap {skip_closure_above}"}
-        vd = None
     else:
-        mode = "exact" if _exact.is_rational(h0) and _exact.is_rational(h1) else "float"
-        res = lie_closure([h0, h1], mode=mode, tolerance=tolerance)
+        res = lie_closure([h0, h1], mode="exact" if rational else "float",
+                          tolerance=tolerance)
         vd = verdict(res, d)
-        closure_info = {
-            "skipped": False,
-            "dimension": res.dimension,
-            "full_dimension": d * d,
-            "controllable": vd.controllable,
-            "note": vd.note,
-            "mode": res.mode,
-            "commutators_evaluated": res.commutators_evaluated,
-            "saturated": res.saturated,
-        }
+        closure_info = _closure_info(vd, res.mode, res.commutators_evaluated,
+                                     res.saturated)
     timings["closure"] = time.perf_counter() - t0
 
     analytic = _analytic_predictions(spec)
@@ -120,6 +129,9 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     else:
         consistency["closure_within_block_bound"] = None
         consistency["block_bound_saturated"] = None
+    if structure is not None:
+        consistency["closure_vs_structure"] = \
+            vd.dimension == structure.dimension if vd is not None and rational else None
 
     return AnalysisReport(
         network={
@@ -131,6 +143,8 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
         },
         subspace_dimension=d,
         closure=closure_info,
+        structure=None if structure is None else
+        {**asdict(structure), "dimension": structure.dimension},
         commutant_dimension=comm.dimension,
         dark_states={
             "count": dark.count,
@@ -151,6 +165,19 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
         seed=seed,
         tolerance=tolerance,
     )
+
+
+def _closure_info(vd, mode: str, evaluated: int, saturated: bool) -> dict:
+    return {
+        "skipped": False,
+        "dimension": vd.dimension,
+        "full_dimension": vd.full_dimension,
+        "controllable": vd.controllable,
+        "note": vd.note,
+        "mode": mode,
+        "commutators_evaluated": evaluated,
+        "saturated": saturated,
+    }
 
 
 def _analytic_predictions(spec: NetworkSpec) -> dict:

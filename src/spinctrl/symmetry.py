@@ -50,6 +50,29 @@ class DarkStateSet:
 
 
 @dataclass
+class BrightStructure:
+    """Closure dimension of a single-node Z-control, read off the spectrum.
+
+    `dimension` is named as on a closure result, so lie.verdict reads it.
+    The four margins say how far the two decisions behind it sit from their
+    thresholds: the control overlap of each eigenspace against the dark
+    tolerance, and each relative eigenvalue gap against _DEGENERACY_TOL. A
+    gap field is None when no gap was split (merged).
+    """
+
+    bright_dimension: int        # n_B = dim B
+    trace_rank: int              # r
+    min_bright_overlap: float    # smallest |v_k| of a bright eigenspace
+    max_dark_overlap: float      # largest |v_k| of a dark eigenspace, 0 if none
+    min_split_gap: float | None  # smallest relative gap between eigenspaces
+    max_merged_gap: float | None  # largest relative gap inside an eigenspace
+
+    @property
+    def dimension(self) -> int:
+        return self.bright_dimension ** 2 - 1 + self.trace_rank
+
+
+@dataclass
 class AnticommutantResult:
     dimension: int
     has_internal_symmetry: bool
@@ -124,6 +147,72 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8) -> DarkStateS
         vmat = np.zeros((d, 0))
         residuals = np.zeros(0)
     return DarkStateSet(vectors=vmat, eigenvalues=np.array(vals), residuals=residuals)
+
+
+def bright_structure(h0: np.ndarray, control: int,
+                     tolerance: float = 1e-8) -> BrightStructure:
+    """Dimension of the Lie closure of {i h0, i h1}, h1 = e_k e_k^T for the
+    one controlled node k, from one eigendecomposition of h0.
+
+    Eigenvalues are grouped as in dark_states. An eigenspace with projector
+    P_j is bright when its control overlap |P_j e_k| exceeds `tolerance`
+    (the rule dark_states applies to its one-row SVD, so d - n_B is the
+    dark-state count). B = span{h0^m e_k} = span{P_j e_k : j bright} has
+    one dimension per bright eigenspace; D = B-perp is spanned by the dark
+    states. Then, for any real symmetric h0,
+
+        dim L = n_B^2 - 1 + r,  r = 1 + [h0 restricted to D is nonzero],
+
+    and h0|_D is nonzero iff some dark eigenvalue lies beyond the degeneracy
+    gap from 0.
+
+    Upper bound. h0 and h1 leave B and D invariant (B is a Krylov space and
+    both are symmetric) and h1 vanishes on D. So on D every element of L is
+    a multiple of h0|_D, and every commutator vanishes on D and is traceless
+    on B: [L, L] lies in su(B) + 0, and L in su(B) + span(h0, h1). This is
+    the argument of _exact._dark_split.
+
+    Lower bound: su(B) + 0 lies in L. Put A = h0|_B, P = h1|_B = e e^T with
+    e = e_k, x_m = A^m e and g_m = e^T A^m e; x_0..x_{n_B-1} is a basis of
+    B since e is cyclic for A. With s(m, q) = i(x_m x_q^T + x_q x_m^T) and
+    a(m, q) = x_m x_q^T - x_q x_m^T, direct expansion gives
+        [iP, a(0, q)] = g_0 s(0, q) - g_q s(0, 0),
+        [iP, s(0, q)] = -g_0 a(0, q),
+        [iP, [iA, s(0, q)]] = g_0 s(0, q+1) - g_1 s(0, q)
+                              + g_q s(0, 1) - g_{q+1} s(0, 0),
+        [a(0, m), a(0, q)] = -g_0 a(m, q) + g_m a(0, q) - g_q a(0, m),
+        [iA, a(m, q)] = s(m+1, q) - s(m, q+1).
+    From s(0, 0) = 2iP and g_0 = 1 > 0, induction on q puts every s(0, q)
+    and a(0, q) in the algebra generated by iA and iP, then every a(m, q),
+    then every s(m, q) along m + q = const. These span i Sym(B) + Asym(B)
+    = u(B). Restriction to B is a homomorphism from L onto u(B), so [L, L]
+    restricts onto su(B); it vanishes on D, hence equals su(B) + 0. (This
+    is Godsil & Severini, PRA 81, 052316 (2010), with the all-ones vector
+    replaced by any cyclic vector; that no so or sp case remains matches the
+    symmetry criterion of Zimboras et al., PRA 92, 042309 (2015).)
+
+    So L = su(B) + span(h0, h1), and r is the rank of the two rows
+    (tr h|_B, h|_D) for h = h0, h1: (tr A, h0|_D) and (1, 0).
+    """
+    k = int(control) - 1
+    w, v = np.linalg.eigh(h0)
+    scale = _scale(w)
+    gap = _DEGENERACY_TOL * scale
+    groups = _eigen_groups(w, gap)
+    overlaps = np.array([np.linalg.norm(v[k, lo:hi]) for lo, hi in groups])
+    bright = overlaps > tolerance
+    # dark directions: the whole of a dark eigenspace, all but one of a bright one
+    traced = any(abs(w[lo:hi].mean()) > gap
+                 for (lo, hi), lit in zip(groups, bright) if hi - lo > lit)
+    steps = np.diff(w)
+    split = steps > gap
+    return BrightStructure(
+        bright_dimension=int(bright.sum()),
+        trace_rank=1 + traced,
+        min_bright_overlap=float(overlaps[bright].min()),
+        max_dark_overlap=float(overlaps[~bright].max(initial=0.0)),
+        min_split_gap=float(steps[split].min()) / scale if split.any() else None,
+        max_merged_gap=float(steps[~split].max()) / scale if (~split).any() else None)
 
 
 def internal_symmetry(h0: np.ndarray, h1: np.ndarray,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,20 @@ class TestSecondExcitation:
         star_general = NetworkSpec(spec.node_count, spec.edges, 0.0, (1,))
         with pytest.raises(InvalidNetworkError, match="not a chain"):
             second_excitation_chain(star_general)
+
+    @pytest.mark.parametrize("build,couplings,kappa", [
+        (single_excitation, "uniform", 1e308),
+        (single_excitation, [1e308, 1e308, 1.0], 0.0),  # 0 * inf in mu_0
+        (single_excitation, [1e200, 1.0, 1.0], 1e200),
+        (second_excitation_chain, "uniform", 1e308),
+        (second_excitation_chain, [1e200, 1.0, 1.0], 1e200),
+    ])
+    def test_overflowing_drift_raises(self, build, couplings, kappa):
+        spec = make_chain(4, couplings, kappa, controls=(1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="couplings and kappa overflow"):
+                build(spec)
 
     def test_rejects_tiny_chain(self):
         with pytest.raises(InvalidNetworkError, match="N >= 3"):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from spinctrl import _exact
 from spinctrl.cli import main
 from spinctrl.hamiltonian import single_excitation
+from spinctrl.lie import lie_closure
 from spinctrl.network import (MAX_NODES, InvalidNetworkError, NetworkSpec, StarDescriptor,
                               make_chain, make_star, parse_network)
 from spinctrl.report import analyze, reproduce_table
@@ -39,13 +41,43 @@ class TestAnalyze:
         assert rep.dark_states["count"] >= 1
         assert rep.analytic["kappa_is_symmetric"] is True
         assert not rep.closure["controllable"]
-        assert rep.closure["mode"] == "float"  # the surd entries are not rational
+        # the surd entries are not rational: one control, so the bright subspace decides
+        assert rep.closure["mode"] == "structure"
+        sub = single_excitation(make_chain(9, "uniform", math.sqrt(2) / 2, controls=(3,)))
+        assert rep.closure["dimension"] == \
+            lie_closure([sub.h0, sub.h1], mode="float").dimension
 
     def test_closure_cap(self):
         rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)),
                       skip_closure_above=5)
         assert rep.closure["skipped"]
         assert rep.consistency["closure_vs_predicate"] is None
+        assert rep.consistency["closure_vs_structure"] is None
+        assert rep.structure["dimension"] == 36
+
+    def test_closure_cap_spares_the_structure(self):
+        couplings = [1.1] * 44
+        rep = analyze(make_chain(45, couplings, 0.0, controls=(3,)))
+        assert not rep.closure["skipped"]
+        assert rep.closure["mode"] == "structure"
+        assert rep.closure["dimension"] == 45 * 45
+        two = analyze(make_chain(7, [1.1] * 6, 0.0, controls=(1, 2)),
+                      skip_closure_above=5)
+        assert two.closure["skipped"] and two.structure is None
+        assert "closure_vs_structure" not in two.consistency
+
+    @pytest.mark.parametrize("length,control,want", [(23, 3, 442), (25, 2, 576)])
+    def test_inflated_float_chains(self, length, control, want):
+        # a float closure at tolerance 1e-6 inflated these to d^2
+        rep = analyze(make_chain(length, [1.1] * (length - 1), 0.0, controls=(control,)))
+        assert rep.closure["dimension"] == rep.structure["dimension"] == want
+        assert rep.closure["mode"] == "structure"
+        assert rep.closure["commutators_evaluated"] == 0
+        assert not rep.closure["controllable"]
+        # every check holds; block_bound_saturated only says whether the bound is met
+        checks = {k: v for k, v in rep.consistency.items()
+                  if v is not None and k != "block_bound_saturated"}
+        assert checks and all(checks.values()), checks
 
     def test_exact_mode(self):
         rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
@@ -60,24 +92,28 @@ class TestAnalyze:
         assert rep.closure["mode"] == "exact"
         assert rep.consistency["closure_vs_predicate"] is True
         assert rep.consistency["closure_within_block_bound"] is True
+        assert rep.consistency["closure_vs_structure"] is True
 
     def test_timings_per_detector(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
         assert set(rep.timings) == {
             "hamiltonian", "commutant", "dark_states", "internal_symmetry",
-            "automorphisms", "decompose", "closure"}
+            "automorphisms", "decompose", "structure", "closure"}
 
     def test_report_serializes(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
         doc = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
         assert doc["subspace_dimension"] == 5
         assert set(doc) == {
-            "network", "subspace_dimension", "closure", "commutant_dimension",
-            "dark_states", "internal_symmetry", "automorphisms", "block_sizes",
-            "analytic", "consistency", "timings", "seed", "tolerance"}
+            "network", "subspace_dimension", "closure", "structure",
+            "commutant_dimension", "dark_states", "internal_symmetry", "automorphisms",
+            "block_sizes", "analytic", "consistency", "timings", "seed", "tolerance"}
         assert set(doc["closure"]) == {
             "skipped", "dimension", "full_dimension", "controllable", "note",
             "mode", "commutators_evaluated", "saturated"}
+        assert set(doc["structure"]) == {
+            "bright_dimension", "trace_rank", "dimension", "min_bright_overlap",
+            "max_dark_overlap", "min_split_gap", "max_merged_gap"}
 
 
 # integer, half-integer and irrational values (1.1 is no short binary fraction)
@@ -100,16 +136,25 @@ def small_networks(draw):
 @given(small_networks())
 def test_analyze_fuzz_small_networks(spec):
     """analyze() returns a report for every small valid network; a rational
-    network's closure dimension is the big-integer loop's."""
+    network's closure dimension is the big-integer loop's, an irrational
+    single-node network's the float closure's."""
     rep = analyze(spec)
     d = spec.node_count
+    single = len(spec.controls) == 1
     assert rep.subspace_dimension == d
     assert 0 <= rep.closure["dimension"] <= d * d
+    assert (rep.structure is not None) == single
     sub = single_excitation(spec)
     if _exact.is_rational(sub.h0) and _exact.is_rational(sub.h1):
         assert rep.closure["mode"] == "exact"
         elements, _, _ = _exact.integer_closure(_exact.integer_seeds([sub.h0, sub.h1]))
         assert rep.closure["dimension"] == len(elements)
+        if single:
+            assert rep.consistency["closure_vs_structure"] is True
+    elif single:
+        assert rep.closure["mode"] == "structure"
+        assert rep.closure["dimension"] == \
+            lie_closure([sub.h0, sub.h1], mode="float").dimension
     else:
         assert rep.closure["mode"] == "float"
 
@@ -230,6 +275,28 @@ class TestCli:
         assert "all rows match: True" in capsys.readouterr().out
         doc = json.loads(out_json.read_text())
         assert doc["all_match"] is True
+
+    def test_structure_line(self, capsys):
+        rc = main(["chain", "--length", "23", "--control", "3",
+                   "--couplings", ",".join(["1.1"] * 22)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "dim 442 of 529 [structure] -> NOT controllable" in out
+        assert "structure: n_B=21, r=2, dim=442, margin" in out
+        rc = main(["chain", "--length", "5", "--control", "1,2"])
+        assert rc == 0
+        assert "structure:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--kappa", "1e308"],
+                                       ["--couplings", "1e308,1e308"]])
+    def test_overflowing_drift_exit(self, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["chain", "--length", "3", "--control", "1"] + flags)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error: the couplings and kappa overflow the drift")
+        assert err.count("\n") == 1
 
     def test_exact_flag(self, capsys):
         rc = main(["chain", "--length", "5", "--kappa", "1", "--control", "1"])

@@ -1,7 +1,10 @@
 import gc
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinctrl.symmetry
 
@@ -10,10 +13,12 @@ from spinctrl.analytic import half_chain_witness
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
 from spinctrl.network import NetworkSpec, StarDescriptor, make_chain, make_star
-from spinctrl.reference import COMMUTING_MATRIX_7, INHOMOGENEOUS_10x10
-from spinctrl.report import analyze
-from spinctrl.symmetry import (certify_internal_symmetry, commutant, dark_states,
-                               decompose, graph_automorphisms, internal_symmetry)
+from spinctrl.reference import (COMMUTING_MATRIX_7, HEISENBERG_BRANCH_TABLE,
+                                INHOMOGENEOUS_10x10, XX_BRANCH_TABLE)
+from spinctrl.report import DARK_TOL, analyze
+from spinctrl.symmetry import (bright_structure, certify_internal_symmetry, commutant,
+                               dark_states, decompose, graph_automorphisms,
+                               internal_symmetry)
 
 
 def chain_pair(length, couplings, kappa, controls):
@@ -127,6 +132,133 @@ class TestDarkStates:
                 hp, _ = chain_pair(n, "uniform", kappa, (k,))
                 hm, _ = chain_pair(n, "uniform", -kappa, (k,))
                 assert dark_states(hp, (k,)).count == dark_states(hm, (k,)).count
+
+
+def _structure_matches(h0, h1, control, mode):
+    """bright_structure gives the closure's dimension and the dark-state count."""
+    st_ = bright_structure(h0, control, DARK_TOL)
+    d = h0.shape[0]
+    assert d - st_.bright_dimension == dark_states(h0, (control,), DARK_TOL).count
+    return st_.dimension == lie_closure([h0, h1], mode=mode).dimension
+
+
+@st.composite
+def rational_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(m, q) for m in range(1, n + 1) for q in range(m + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.sampled_from([1.0, 2.0, -1.0, 0.5, 3.0, -1.5])
+    edges = tuple((m, q, draw(weights)) for m, q in chosen)
+    kappa = draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]))
+    return NetworkSpec(node_count=n, edges=edges, kappa=kappa,
+                       controls=(draw(st.integers(1, n)),))
+
+
+def _mirror_spectrum_pair(d, spectrum, pattern, rng):
+    """h0 with eigenvalues equally spaced or +-symmetric, whose eigenvectors
+    meet the control node k with mirror-symmetric overlaps c_j = c_{d-1-j};
+    pattern 1 and 2 zero some overlaps (dark states), pattern 3 makes the two
+    lowest eigenvalues equal."""
+    if spectrum == "equal":
+        lam = np.arange(d) - (d - 1) / 2
+    else:
+        r = rng.uniform(0.3, 2.0, d // 2)
+        lam = np.sort(np.concatenate([r, -r, [0.0] * (d % 2)]))
+    half = rng.uniform(0.2, 1.0, (d + 1) // 2)
+    c = np.concatenate([half, half[:d // 2][::-1]])
+    if pattern == 1:
+        c[0] = c[-1] = 0.0
+    elif pattern == 2:
+        c[d // 2] = 0.0
+    elif pattern == 3:
+        lam[1] = lam[0]
+    c /= np.linalg.norm(c)
+    k = int(rng.integers(d))
+    u = np.eye(d)[k] - c
+    norm = np.linalg.norm(u)
+    # a Householder reflection, orthogonal with row k equal to c
+    q = np.eye(d) - 2 * np.outer(u, u) / norm ** 2 if norm else np.eye(d)
+    h0 = q @ np.diag(lam) @ q.T
+    h1 = np.zeros((d, d))
+    h1[k, k] = 1.0
+    return 0.5 * (h0 + h0.T), h1, k + 1
+
+
+class TestBrightStructure:
+    """dim L = n_B^2 - 1 + r for a single-node Z-control, checked against the
+    exact closure on rational networks and the float closure on the rest."""
+
+    def test_uniform_chains_exact(self):
+        count = 0
+        for n in range(2, 13):
+            for k in range(1, n + 1):
+                for kappa in (0.0, 1.0):
+                    h0, h1 = chain_pair(n, "uniform", kappa, (k,))
+                    assert _structure_matches(h0, h1, k, "exact"), (n, k, kappa)
+                    count += 1
+        assert count == 154
+
+    def test_branch_tables_every_control_exact(self):
+        count = 0
+        for table, kappa in ((XX_BRANCH_TABLE, 0.0), (HEISENBERG_BRANCH_TABLE, 1.0)):
+            for ref in table:
+                star = make_star(StarDescriptor(tuple(ref["lengths"])), kappa)
+                for node in range(1, star.node_count + 1):
+                    spec = NetworkSpec(star.node_count, star.edges, kappa, (node,))
+                    sub = single_excitation(spec)
+                    assert _structure_matches(sub.h0, sub.h1, node, "exact"), \
+                        (ref["lengths"], kappa, node)
+                    count += 1
+        assert count == 219
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs())
+    def test_random_rational_graphs_exact(self, spec):
+        sub = single_excitation(spec)
+        assert _structure_matches(sub.h0, sub.h1, spec.controls[0], "exact")
+
+    def test_irrational_chains_float(self, rng):
+        for n in range(2, 11):
+            for k in range(1, (n + 1) // 2 + 1):
+                for kappa in (math.sqrt(3), -math.sqrt(3), math.sqrt(2) / 2):
+                    h0, h1 = chain_pair(n, "uniform", kappa, (k,))
+                    assert _structure_matches(h0, h1, k, "float"), (n, k, kappa)
+            couplings = rng.uniform(0.5, 1.5, n - 1)
+            kappa = float(rng.uniform(-1.0, 1.0))
+            k = int(rng.integers(1, n + 1))
+            h0, h1 = chain_pair(n, couplings, kappa, (k,))
+            assert _structure_matches(h0, h1, k, "float"), (n, couplings, kappa, k)
+
+    @pytest.mark.parametrize("spectrum", ["equal", "pm"])
+    @pytest.mark.parametrize("pattern", range(4))
+    def test_adversarial_spectra_float(self, spectrum, pattern):
+        rng = np.random.default_rng(17 + pattern)
+        for d in range(3, 9):
+            h0, h1, k = _mirror_spectrum_pair(d, spectrum, pattern, rng)
+            assert _structure_matches(h0, h1, k, "float"), (d, spectrum, pattern)
+
+    def test_trace_rank(self):
+        # chain 7/2 at kappa 0: the dark eigenvalue is 0, so h0|_D = 0
+        h0, _ = chain_pair(7, "uniform", 0.0, (2,))
+        s = bright_structure(h0, 2)
+        assert (s.bright_dimension, s.trace_rank, s.dimension) == (6, 1, 36)
+        # chain 11/3 at kappa 0: dark eigenvalues +-1
+        h0, _ = chain_pair(11, "uniform", 0.0, (3,))
+        s = bright_structure(h0, 3)
+        assert (s.bright_dimension, s.trace_rank, s.dimension) == (9, 2, 82)
+
+    def test_margin(self):
+        h0, _ = chain_pair(7, "uniform", 0.0, (2,))
+        s = bright_structure(h0, 2, DARK_TOL)
+        assert s.min_bright_overlap > 1e-2 and s.max_dark_overlap < 1e-14
+        assert s.min_split_gap > 1e-2 and s.max_merged_gap is None
+        # two eigenvalues 3e-12 apart: merged by the degeneracy rule, and shown
+        h0, _ = chain_pair(50, "uniform", math.sqrt(3), (7,))
+        s = bright_structure(h0, 7, DARK_TOL)
+        assert 0.0 < s.max_merged_gap < 1e-10 < s.min_split_gap
+        assert (s.bright_dimension, s.trace_rank) == (49, 2)
+        one = bright_structure(np.zeros((1, 1)), 1)
+        assert one.dimension == 1 and one.min_split_gap is None is one.max_merged_gap
 
 
 class TestInternalSymmetry:
