@@ -18,10 +18,11 @@ from .report import analyze, reproduce_table
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="closure rank tolerance, for float closures only: those of "
-                        "networks with more than one control and an entry that is "
-                        "no small-denominator rational (rational networks are "
-                        "closed exactly, single-node ones read their dimension "
-                        "off the bright subspace)")
+                        "networks with an entry that is no small-denominator "
+                        "rational and more than one control, or one control and "
+                        "a bright eigenspace that merges eigenvalues (rational "
+                        "networks are closed exactly, other single-node ones "
+                        "read their dimension off the bright subspace)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the generic-element draws")
     p.add_argument("--json", dest="json_out", metavar="PATH",
@@ -30,7 +31,8 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="skip the exact or float closure when the subspace "
                         "dimension exceeds D; a single-node network with an "
                         "irrational entry, whose dimension comes from the bright "
-                        "subspace, is never skipped")
+                        "subspace, is never skipped unless a bright eigenspace "
+                        "merges eigenvalues")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +133,10 @@ def _print_analysis(rep) -> None:
     st = rep.structure
     if st is not None:
         print(f"structure: n_B={st['bright_dimension']}, r={st['trace_rank']}, "
-              f"dim={st['dimension']}, margin: overlaps bright >= "
+              f"dim={st['dimension']}"
+              + ("" if st["resolved"] else " (unresolved: a bright eigenspace "
+                 "merges eigenvalues)")
+              + ", margin: overlaps bright >= "
               f"{_margin(st['min_bright_overlap'])}, dark <= "
               f"{_margin(st['max_dark_overlap'])}; relative gaps split >= "
               f"{_margin(st['min_split_gap'])}, merged <= "

@@ -5,11 +5,12 @@ the results with consistency flags. The closure follows from the network:
 exact when every entry of h0 and h1 is a small-denominator rational (the
 rule _exact.integerize applies), so the rank is certified; otherwise, for a
 single controlled node, the dimension n_B^2 - 1 + r that
-symmetry.bright_structure reads off the bright subspace; otherwise a float
-closure at the given tolerance. reproduce_table() recomputes a bundled
-reference table from scratch and diffs it row by row; branch-table rows are
-closed in exact mode (their data is integer, so ranks are certified), with
-a float cross-check recorded per row.
+symmetry.bright_structure reads off the bright subspace, when no bright
+eigenspace merges eigenvalues; otherwise a float closure at the given
+tolerance. reproduce_table() recomputes a bundled reference table from
+scratch and diffs it row by row; branch-table rows are closed in exact mode
+(their data is integer, so ranks are certified), with a float cross-check
+recorded per row.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
 from .hamiltonian import second_excitation_chain, single_excitation
 from .lie import check_tolerance, lie_closure, verdict
 from .network import NetworkSpec, StarDescriptor, make_chain, make_star
-from .symmetry import (bright_structure, commutant, dark_states, decompose,
+from .symmetry import (DARK_TOL, bright_structure, commutant, dark_states, decompose,
                        graph_automorphisms, internal_symmetry)
 
 SYMMETRY_TOL = 1e-9
-DARK_TOL = 1e-8
 
 
 @dataclass
@@ -60,18 +60,21 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
 
     A network with one control gets `structure`, the closure dimension
     n_B^2 - 1 + r read off the bright subspace (symmetry.bright_structure,
-    one eigendecomposition); with more controls `structure` is None. The
-    closure then comes from one of three places:
+    from the eigendecomposition dark_states already made); with more
+    controls `structure` is None. The closure then comes from one of three
+    places:
       - exact arithmetic when _exact.is_rational accepts both h0 and h1
-        (closure["mode"] == "exact", a certified rank; a single-node network
-        also gets consistency["closure_vs_structure"]);
-      - otherwise, for one control, the structure itself (mode "structure",
-        no brackets evaluated);
+        (closure["mode"] == "exact", a certified rank);
+      - otherwise, for one control and a resolved structure (no bright
+        eigenspace merges eigenvalues), the structure itself (mode
+        "structure", no brackets evaluated);
       - otherwise a float closure with rank tolerance `tolerance`.
-    `skip_closure_above` caps the exact and float closures only: a closure
-    taken from the structure is never skipped. timings holds the seconds
-    spent in each stage and each detector. A tolerance that is not finite
-    and positive raises ValueError, also when no float closure runs.
+    A single-node network whose closure ran also gets
+    consistency["closure_vs_structure"]. `skip_closure_above` caps the exact
+    and float closures only: a closure taken from the structure is never
+    skipped. timings holds the seconds spent in each stage and each
+    detector. A tolerance that is not finite and positive raises
+    ValueError, also when no float closure runs.
     """
     check_tolerance(tolerance)
     timings = {}
@@ -93,12 +96,13 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL, seed=seed)
     structure = None
     if len(spec.controls) == 1:
-        structure = timed("structure", bright_structure, h0, spec.controls[0], DARK_TOL)
+        structure = timed("structure", bright_structure, dark)
 
     t0 = time.perf_counter()
     rational = _exact.is_rational(h0) and _exact.is_rational(h1)
+    decided = structure is not None and structure.resolved and not rational
     vd = None
-    if structure is not None and not rational:
+    if decided:
         vd = verdict(structure, d)
         closure_info = _closure_info(vd, "structure", 0, vd.dimension == d * d)
     elif d > skip_closure_above:
@@ -131,7 +135,7 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
         consistency["block_bound_saturated"] = None
     if structure is not None:
         consistency["closure_vs_structure"] = \
-            vd.dimension == structure.dimension if vd is not None and rational else None
+            vd.dimension == structure.dimension if vd is not None and not decided else None
 
     return AnalysisReport(
         network={

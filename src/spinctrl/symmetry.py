@@ -21,6 +21,7 @@ from . import _exact
 from .network import NetworkSpec
 
 _DEGENERACY_TOL = 1e-10         # eigenvalue gap, relative, that splits eigenspaces
+DARK_TOL = 1e-8                 # control overlap at or below which a direction is dark
 _MAX_DRAWS = 5                  # generic commutant elements tried by decompose
 _AUTOMORPHISM_NODE_CAP = 1_000_000  # partial assignments before the search gives up
 
@@ -43,6 +44,9 @@ class DarkStateSet:
     vectors: np.ndarray      # (d, count), orthonormal columns
     eigenvalues: np.ndarray  # (count,)
     residuals: np.ndarray    # max |v_k| over controls, per vector
+    spectrum: np.ndarray     # (d,) every eigenvalue of h0, ascending
+    groups: list[tuple[int, int]]  # eigenspaces, as [lo, hi) ranges of spectrum
+    overlaps: np.ndarray     # per eigenspace, largest singular value of its control rows
 
     @property
     def count(self) -> int:
@@ -54,14 +58,18 @@ class BrightStructure:
     """Closure dimension of a single-node Z-control, read off the spectrum.
 
     `dimension` is named as on a closure result, so lie.verdict reads it.
-    The four margins say how far the two decisions behind it sit from their
-    thresholds: the control overlap of each eigenspace against the dark
-    tolerance, and each relative eigenvalue gap against _DEGENERACY_TOL. A
-    gap field is None when no gap was split (merged).
+    `resolved` is False when some bright eigenspace holds more than one
+    computed eigenvalue: n_B then counts it once, which is right only if
+    the merged eigenvalues are exactly equal. The four margins say how far
+    the two decisions behind it sit from their thresholds: the control
+    overlap of each eigenspace against DARK_TOL, and each relative
+    eigenvalue gap against _DEGENERACY_TOL. A gap field is None when no gap
+    was split (merged).
     """
 
     bright_dimension: int        # n_B = dim B
     trace_rank: int              # r
+    resolved: bool               # every bright eigenspace holds one eigenvalue
     min_bright_overlap: float    # smallest |v_k| of a bright eigenspace
     max_dark_overlap: float      # largest |v_k| of a dark eigenspace, 0 if none
     min_split_gap: float | None  # smallest relative gap between eigenspaces
@@ -119,22 +127,27 @@ def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> Commut
                           has_external_symmetry=len(herm) > 1)
 
 
-def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8) -> DarkStateSet:
+def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL) -> DarkStateSet:
     """Intersect each eigenspace of h0 with {v : v_k = 0 for k in controls}.
 
     Eigenvalues are grouped into eigenspaces when gaps fall below
     _DEGENERACY_TOL relative to the spectral scale; within each group the
-    dark directions are the null vectors of the control-row block.
+    dark directions are the null vectors of the control-row block. The
+    spectrum, the grouping and each group's control overlap are kept, so
+    bright_structure needs no second eigendecomposition.
     """
     d = h0.shape[0]
     ctrl = sorted(int(k) - 1 for k in controls)
     w, v = np.linalg.eigh(h0)
+    groups = _eigen_groups(w, _DEGENERACY_TOL * _scale(w))
+    overlaps = np.zeros(len(groups))
     vecs = []
     vals = []
-    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * _scale(w)):
+    for g, (lo, hi) in enumerate(groups):
         block = v[:, lo:hi]
         rows = block[ctrl, :]
         _, s, vt = np.linalg.svd(rows, full_matrices=True)
+        overlaps[g] = s[0] if s.size else 0.0
         rank = int(np.sum(s > tolerance)) if s.size else 0
         for j in range(rank, hi - lo):
             dark = block @ vt[j]
@@ -146,25 +159,34 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = 1e-8) -> DarkStateS
     else:
         vmat = np.zeros((d, 0))
         residuals = np.zeros(0)
-    return DarkStateSet(vectors=vmat, eigenvalues=np.array(vals), residuals=residuals)
+    return DarkStateSet(vectors=vmat, eigenvalues=np.array(vals), residuals=residuals,
+                        spectrum=w, groups=groups, overlaps=overlaps)
 
 
-def bright_structure(h0: np.ndarray, control: int,
-                     tolerance: float = 1e-8) -> BrightStructure:
+def bright_structure(dark: DarkStateSet) -> BrightStructure:
     """Dimension of the Lie closure of {i h0, i h1}, h1 = e_k e_k^T for the
-    one controlled node k, from one eigendecomposition of h0.
+    one controlled node k, from `dark` = dark_states(h0, (k,)): its
+    eigendecomposition and grouping are reused, not recomputed.
 
-    Eigenvalues are grouped as in dark_states. An eigenspace with projector
-    P_j is bright when its control overlap |P_j e_k| exceeds `tolerance`
-    (the rule dark_states applies to its one-row SVD, so d - n_B is the
-    dark-state count). B = span{h0^m e_k} = span{P_j e_k : j bright} has
-    one dimension per bright eigenspace; D = B-perp is spanned by the dark
-    states. Then, for any real symmetric h0,
+    An eigenspace with projector P_j is bright when its control overlap
+    |P_j e_k| exceeds DARK_TOL (the rule dark_states applies to its one-row
+    SVD, so d - n_B is the dark-state count; a set built with another
+    tolerance or more controls that breaks this raises ValueError).
+    B = span{h0^m e_k} = span{P_j e_k : j bright} has one dimension per
+    bright eigenspace; D = B-perp is spanned by the dark states. Then, for
+    any real symmetric h0,
 
         dim L = n_B^2 - 1 + r,  r = 1 + [h0 restricted to D is nonzero],
 
     and h0|_D is nonzero iff some dark eigenvalue lies beyond the degeneracy
     gap from 0.
+
+    The count is exact when each eigenspace of the grouping is an eigenspace
+    of h0. Two distinct eigenvalues closer than the degeneracy gap that both
+    meet k are two bright directions, not one bright and one dark; floating
+    point cannot tell such a pair from an exact degeneracy. `resolved` says
+    that no bright eigenspace holds more than one computed eigenvalue, so
+    that n_B does not rest on the grouping.
 
     Upper bound. h0 and h1 leave B and D invariant (B is a Krylov space and
     both are symmetric) and h1 vanishes on D. So on D every element of L is
@@ -194,13 +216,14 @@ def bright_structure(h0: np.ndarray, control: int,
     So L = su(B) + span(h0, h1), and r is the rank of the two rows
     (tr h|_B, h|_D) for h = h0, h1: (tr A, h0|_D) and (1, 0).
     """
-    k = int(control) - 1
-    w, v = np.linalg.eigh(h0)
+    w, groups, overlaps = dark.spectrum, dark.groups, dark.overlaps
     scale = _scale(w)
     gap = _DEGENERACY_TOL * scale
-    groups = _eigen_groups(w, gap)
-    overlaps = np.array([np.linalg.norm(v[k, lo:hi]) for lo, hi in groups])
-    bright = overlaps > tolerance
+    bright = overlaps > DARK_TOL
+    if len(w) - int(bright.sum()) != dark.count:
+        raise ValueError("bright_structure needs the dark states of one "
+                         "controlled node at DARK_TOL")
+    sizes = np.array([hi - lo for lo, hi in groups])
     # dark directions: the whole of a dark eigenspace, all but one of a bright one
     traced = any(abs(w[lo:hi].mean()) > gap
                  for (lo, hi), lit in zip(groups, bright) if hi - lo > lit)
@@ -209,6 +232,7 @@ def bright_structure(h0: np.ndarray, control: int,
     return BrightStructure(
         bright_dimension=int(bright.sum()),
         trace_rank=1 + traced,
+        resolved=bool((sizes[bright] == 1).all()),
         min_bright_overlap=float(overlaps[bright].min()),
         max_dark_overlap=float(overlaps[~bright].max(initial=0.0)),
         min_split_gap=float(steps[split].min()) / scale if split.any() else None,

@@ -66,6 +66,22 @@ class TestAnalyze:
         assert two.closure["skipped"] and two.structure is None
         assert "closure_vs_structure" not in two.consistency
 
+    def test_unresolved_structure_does_not_decide(self):
+        # two end-bound eigenvalues 3e-12 apart, both bright at node 7, fall in
+        # one eigenspace; the structure would undercount n_B and read 2402
+        rep = analyze(make_chain(50, "uniform", math.sqrt(3), controls=(7,)))
+        assert not rep.structure["resolved"]
+        assert rep.closure["skipped"]
+        assert rep.consistency["closure_vs_structure"] is None
+        # two equal dimers with irrational couplings: an exact degeneracy,
+        # closed in float like a network with more controls
+        spec = NetworkSpec(4, ((1, 2, math.sqrt(2)), (3, 4, math.sqrt(2))), 0.0, (1,))
+        rep = analyze(spec)
+        assert not rep.structure["resolved"]
+        assert rep.closure["mode"] == "float"
+        assert rep.closure["dimension"] == rep.structure["dimension"] == 5
+        assert rep.consistency["closure_vs_structure"] is True
+
     @pytest.mark.parametrize("length,control,want", [(23, 3, 442), (25, 2, 576)])
     def test_inflated_float_chains(self, length, control, want):
         # a float closure at tolerance 1e-6 inflated these to d^2
@@ -112,7 +128,7 @@ class TestAnalyze:
             "skipped", "dimension", "full_dimension", "controllable", "note",
             "mode", "commutators_evaluated", "saturated"}
         assert set(doc["structure"]) == {
-            "bright_dimension", "trace_rank", "dimension", "min_bright_overlap",
+            "bright_dimension", "trace_rank", "resolved", "dimension", "min_bright_overlap",
             "max_dark_overlap", "min_split_gap", "max_merged_gap"}
 
 
@@ -152,7 +168,8 @@ def test_analyze_fuzz_small_networks(spec):
         if single:
             assert rep.consistency["closure_vs_structure"] is True
     elif single:
-        assert rep.closure["mode"] == "structure"
+        assert rep.closure["mode"] == \
+            ("structure" if rep.structure["resolved"] else "float")
         assert rep.closure["dimension"] == \
             lie_closure([sub.h0, sub.h1], mode="float").dimension
     else:
@@ -283,6 +300,12 @@ class TestCli:
         assert rc == 0
         assert "dim 442 of 529 [structure] -> NOT controllable" in out
         assert "structure: n_B=21, r=2, dim=442, margin" in out
+        rc = main(["chain", "--length", "50", "--control", "7",
+                   "--kappa", repr(math.sqrt(3))])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "closure: skipped" in out
+        assert "dim=2402 (unresolved: a bright eigenspace merges eigenvalues)" in out
         rc = main(["chain", "--length", "5", "--control", "1,2"])
         assert rc == 0
         assert "structure:" not in capsys.readouterr().out

@@ -15,7 +15,7 @@ from spinctrl.lie import lie_closure
 from spinctrl.network import NetworkSpec, StarDescriptor, make_chain, make_star
 from spinctrl.reference import (COMMUTING_MATRIX_7, HEISENBERG_BRANCH_TABLE,
                                 INHOMOGENEOUS_10x10, XX_BRANCH_TABLE)
-from spinctrl.report import DARK_TOL, analyze
+from spinctrl.report import analyze
 from spinctrl.symmetry import (bright_structure, certify_internal_symmetry, commutant,
                                dark_states, decompose, graph_automorphisms,
                                internal_symmetry)
@@ -136,9 +136,9 @@ class TestDarkStates:
 
 def _structure_matches(h0, h1, control, mode):
     """bright_structure gives the closure's dimension and the dark-state count."""
-    st_ = bright_structure(h0, control, DARK_TOL)
-    d = h0.shape[0]
-    assert d - st_.bright_dimension == dark_states(h0, (control,), DARK_TOL).count
+    dark = dark_states(h0, (control,))
+    st_ = bright_structure(dark)
+    assert h0.shape[0] - st_.bright_dimension == dark.count
     return st_.dimension == lie_closure([h0, h1], mode=mode).dimension
 
 
@@ -240,25 +240,42 @@ class TestBrightStructure:
     def test_trace_rank(self):
         # chain 7/2 at kappa 0: the dark eigenvalue is 0, so h0|_D = 0
         h0, _ = chain_pair(7, "uniform", 0.0, (2,))
-        s = bright_structure(h0, 2)
+        s = bright_structure(dark_states(h0, (2,)))
         assert (s.bright_dimension, s.trace_rank, s.dimension) == (6, 1, 36)
         # chain 11/3 at kappa 0: dark eigenvalues +-1
         h0, _ = chain_pair(11, "uniform", 0.0, (3,))
-        s = bright_structure(h0, 3)
+        s = bright_structure(dark_states(h0, (3,)))
         assert (s.bright_dimension, s.trace_rank, s.dimension) == (9, 2, 82)
 
     def test_margin(self):
         h0, _ = chain_pair(7, "uniform", 0.0, (2,))
-        s = bright_structure(h0, 2, DARK_TOL)
+        s = bright_structure(dark_states(h0, (2,)))
         assert s.min_bright_overlap > 1e-2 and s.max_dark_overlap < 1e-14
         assert s.min_split_gap > 1e-2 and s.max_merged_gap is None
-        # two eigenvalues 3e-12 apart: merged by the degeneracy rule, and shown
+        assert s.resolved
+        # two eigenvalues 3e-12 apart, both bright: merged by the degeneracy
+        # rule into one bright eigenspace, shown in the margin and unresolved
         h0, _ = chain_pair(50, "uniform", math.sqrt(3), (7,))
-        s = bright_structure(h0, 7, DARK_TOL)
+        s = bright_structure(dark_states(h0, (7,)))
         assert 0.0 < s.max_merged_gap < 1e-10 < s.min_split_gap
-        assert (s.bright_dimension, s.trace_rank) == (49, 2)
-        one = bright_structure(np.zeros((1, 1)), 1)
+        assert not s.resolved
+        one = bright_structure(dark_states(np.zeros((1, 1)), (1,)))
         assert one.dimension == 1 and one.min_split_gap is None is one.max_merged_gap
+        assert one.resolved
+
+    def test_exact_degeneracy_is_unresolved(self):
+        # two equal dimers, one controlled: each doubly degenerate eigenspace
+        # holds one bright and one dark direction
+        spec = NetworkSpec(4, ((1, 2, 1.0), (3, 4, 1.0)), 0.0, (1,))
+        sub = single_excitation(spec)
+        s = bright_structure(dark_states(sub.h0, (1,)))
+        assert not s.resolved
+        assert s.dimension == lie_closure([sub.h0, sub.h1], mode="exact").dimension
+
+    def test_needs_one_control_at_dark_tol(self):
+        h0, _ = chain_pair(7, "uniform", 0.0, (2,))
+        with pytest.raises(ValueError, match="one controlled node"):
+            bright_structure(dark_states(h0, (2,), 0.5))
 
 
 class TestInternalSymmetry:
