@@ -31,6 +31,7 @@ from .symmetry import (certify_internal_symmetry, commutant, dark_states, decomp
 
 
 DEFAULT_TOL = 1e-6
+_TIME_BUDGET = 300.0  # seconds both passes of run_suite may take (criterion 14)
 
 
 @dataclass
@@ -484,17 +485,16 @@ class SuiteOutcome:
         return all(r.passed for r in self.results) and self.determinism.passed
 
 
-def run_suite(seed: int = 0, time_budget: float = 300.0,
-              tolerance: float = DEFAULT_TOL) -> SuiteOutcome:
+def run_suite(seed: int = 0, tolerance: float = DEFAULT_TOL) -> SuiteOutcome:
     """Run criteria 1-13 twice; criterion 14 checks runtime and determinism."""
     t0 = time.perf_counter()
     first, first_s = _timed_criteria(seed, tolerance)
     second, second_s = _timed_criteria(seed, tolerance)
     elapsed = time.perf_counter() - t0
     identical = _digest(first) == _digest(second)
-    within = elapsed < time_budget
+    within = elapsed < _TIME_BUDGET
     lines = [f"two passes bit-identical for seed {seed}: {identical}",
-             f"runtime within budget ({time_budget:.0f} s): {within}"]
+             f"runtime within budget ({_TIME_BUDGET:.0f} s): {within}"]
     det = CriterionResult(14, "determinism and runtime", identical and within, lines)
     seconds = {r.number: a + b for r, a, b in zip(first, first_s, second_s)}
     return SuiteOutcome(results=first, determinism=det, elapsed_seconds=elapsed,

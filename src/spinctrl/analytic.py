@@ -17,7 +17,7 @@ import numpy as np
 
 from .hamiltonian import single_excitation
 from .network import make_chain
-from .symmetry import _DEGENERACY_TOL, _eigen_groups, _scale
+from .symmetry import dark_states
 
 _POLE_TOL = 1e-12
 _DEDUP_TOL = 1e-10
@@ -55,17 +55,14 @@ class BetheEnumeration:
 
 
 def control_site_residual(N: int, kappa: float, k: int) -> float:
-    """Smallest achievable |v_k| over the eigenspaces of the uniform chain."""
+    """Smallest achievable |v_k| over the eigenspaces of the uniform chain,
+    from the eigenspaces and control overlaps that dark_states keeps."""
     spec = make_chain(N, "uniform", kappa, controls=(k,))
-    sub = single_excitation(spec)
-    w, v = np.linalg.eigh(sub.h0)
-    best = np.inf
-    for lo, hi in _eigen_groups(w, _DEGENERACY_TOL * _scale(w)):
-        # a degenerate eigenspace always contains a zero of one coordinate
-        if hi - lo >= 2:
-            return 0.0
-        best = min(best, float(abs(v[k - 1, lo])))
-    return best
+    dark = dark_states(single_excitation(spec).h0, (k,))
+    # a degenerate eigenspace always contains a zero of one coordinate
+    if any(hi - lo >= 2 for lo, hi in dark.groups):
+        return 0.0
+    return float(dark.overlaps.min())
 
 
 def bethe_symmetric_kappas(N: int, k: int) -> BetheEnumeration:

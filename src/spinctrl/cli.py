@@ -17,22 +17,9 @@ from .report import analyze, reproduce_table
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="closure rank tolerance, for float closures only: those of "
-                        "networks with an entry that is no small-denominator "
-                        "rational and more than one control, or one control and "
-                        "a bright eigenspace that merges eigenvalues (rational "
-                        "networks are closed exactly, other single-node ones "
-                        "read their dimension off the bright subspace)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the generic-element draws")
+                   help="rank tolerance of float closures (README, Numerical notes)")
     p.add_argument("--json", dest="json_out", metavar="PATH",
                    help="also write the full report as JSON ('-' for stdout)")
-    p.add_argument("--skip-closure-above", type=int, default=40, metavar="D",
-                   help="skip the exact or float closure when the subspace "
-                        "dimension exceeds D; a single-node network with an "
-                        "irrational entry, whose dimension comes from the bright "
-                        "subspace, is never skipped unless a bright eigenspace "
-                        "merges eigenvalues")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,8 +153,7 @@ def _print_analysis(rep) -> None:
 
 
 def _run_analysis(spec, args) -> int:
-    rep = analyze(spec, tolerance=args.tol, seed=args.seed,
-                  skip_closure_above=args.skip_closure_above)
+    rep = analyze(spec, tolerance=args.tol)
     if args.json_out != "-":  # '-' means: stdout carries only the JSON
         _print_analysis(rep)
     _emit_json(rep.to_dict(), args.json_out)

@@ -7,17 +7,18 @@ rule _exact.integerize applies), so the rank is certified; otherwise, for a
 single controlled node, the dimension n_B^2 - 1 + r that
 symmetry.bright_structure reads off the bright subspace, when no bright
 eigenspace merges eigenvalues; otherwise a float closure at the given
-tolerance. reproduce_table() recomputes a bundled reference table from
-scratch and diffs it row by row; branch-table rows are closed in exact mode
-(their data is integer, so ranks are certified), with a float cross-check
-recorded per row.
+tolerance. Exact closures run up to d = _EXACT_CLOSURE_CAP and float ones up
+to d = _FLOAT_CLOSURE_CAP; larger ones are skipped. reproduce_table()
+recomputes a bundled reference table from scratch and diffs it row by row;
+branch-table rows are closed in exact mode (their data is integer, so ranks
+are certified), with a float cross-check recorded per row.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,6 +32,11 @@ from .symmetry import (DARK_TOL, bright_structure, commutant, dark_states, decom
                        graph_automorphisms, internal_symmetry)
 
 SYMMETRY_TOL = 1e-9
+# Largest subspace dimension whose closure analyze() runs. The big-integer
+# fallback of an exact closure took 20-115 s at d = 45-50; float ranks
+# inflate from d = 23 on (chain 23/3 at coupling 1.1 read 529 for 442).
+_EXACT_CLOSURE_CAP = 40
+_FLOAT_CLOSURE_CAP = 22
 
 
 @dataclass
@@ -47,15 +53,13 @@ class AnalysisReport:
     analytic: dict
     consistency: dict
     timings: dict
-    seed: int
     tolerance: float
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
-            skip_closure_above: int = 40) -> AnalysisReport:
+def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
     """Full pipeline: subspace Hamiltonians, detectors, closure, predicates.
 
     A network with one control gets `structure`, the closure dimension
@@ -70,11 +74,11 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
         "structure", no brackets evaluated);
       - otherwise a float closure with rank tolerance `tolerance`.
     A single-node network whose closure ran also gets
-    consistency["closure_vs_structure"]. `skip_closure_above` caps the exact
-    and float closures only: a closure taken from the structure is never
-    skipped. timings holds the seconds spent in each stage and each
-    detector. A tolerance that is not finite and positive raises
-    ValueError, also when no float closure runs.
+    consistency["closure_vs_structure"]. An exact closure above
+    d = _EXACT_CLOSURE_CAP or a float one above d = _FLOAT_CLOSURE_CAP is
+    skipped; a closure taken from the structure never is. timings holds the
+    seconds spent in each stage and each detector. A tolerance that is not
+    finite and positive raises ValueError, also when no float closure runs.
     """
     check_tolerance(tolerance)
     timings = {}
@@ -93,7 +97,7 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     dark = timed("dark_states", dark_states, h0, spec.controls, DARK_TOL)
     anti = timed("internal_symmetry", internal_symmetry, h0, h1, SYMMETRY_TOL)
     autos = timed("automorphisms", graph_automorphisms, spec)
-    blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL, seed=seed)
+    blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL)
     structure = None
     if len(spec.controls) == 1:
         structure = timed("structure", bright_structure, dark)
@@ -101,13 +105,14 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
     t0 = time.perf_counter()
     rational = _exact.is_rational(h0) and _exact.is_rational(h1)
     decided = structure is not None and structure.resolved and not rational
+    cap = _EXACT_CLOSURE_CAP if rational else _FLOAT_CLOSURE_CAP
     vd = None
     if decided:
         vd = verdict(structure, d)
         closure_info = _closure_info(vd, "structure", 0, vd.dimension == d * d)
-    elif d > skip_closure_above:
-        closure_info = {"skipped": True,
-                        "reason": f"d = {d} exceeds cap {skip_closure_above}"}
+    elif d > cap:
+        label = "cap" if rational else "float cap"
+        closure_info = {"skipped": True, "reason": f"d = {d} exceeds {label} {cap}"}
     else:
         res = lie_closure([h0, h1], mode="exact" if rational else "float",
                           tolerance=tolerance)
@@ -166,7 +171,6 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6, seed: int = 0,
         analytic=analytic,
         consistency=consistency,
         timings=timings,
-        seed=seed,
         tolerance=tolerance,
     )
 
@@ -319,11 +323,8 @@ def _table_sym() -> TableReport:
 
 
 def _branch_metrics(lengths, kappa, control_node: int):
-    spec = make_star(StarDescriptor(tuple(lengths)), kappa)
-    if control_node != 1:
-        spec = NetworkSpec(node_count=spec.node_count, edges=spec.edges,
-                           kappa=spec.kappa, controls=(control_node,),
-                           topology="star", star_lengths=spec.star_lengths)
+    spec = replace(make_star(StarDescriptor(tuple(lengths)), kappa),
+                   controls=(control_node,))
     sub = single_excitation(spec)
     exact = lie_closure([sub.h0, sub.h1], mode="exact")
     dark = dark_states(sub.h0, spec.controls, DARK_TOL)

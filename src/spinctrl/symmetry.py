@@ -24,6 +24,7 @@ _DEGENERACY_TOL = 1e-10         # eigenvalue gap, relative, that splits eigenspa
 DARK_TOL = 1e-8                 # control overlap at or below which a direction is dark
 _MAX_DRAWS = 5                  # generic commutant elements tried by decompose
 _AUTOMORPHISM_NODE_CAP = 1_000_000  # partial assignments before the search gives up
+_WEIGHT_RTOL = 1e-12            # relative gap below which two edge weights are one class
 
 
 class DecompositionError(RuntimeError):
@@ -143,14 +144,17 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL) -> DarkSt
     overlaps = np.zeros(len(groups))
     vecs = []
     vals = []
+    control_rows = v[ctrl]
     for g, (lo, hi) in enumerate(groups):
-        block = v[:, lo:hi]
-        rows = block[ctrl, :]
+        rows = control_rows[:, lo:hi]
+        if rows.shape == (1, 1) and abs(rows[0, 0]) > tolerance:
+            overlaps[g] = abs(rows[0, 0])  # one bright direction, the 1 x 1 SVD's value
+            continue
         _, s, vt = np.linalg.svd(rows, full_matrices=True)
         overlaps[g] = s[0] if s.size else 0.0
         rank = int(np.sum(s > tolerance)) if s.size else 0
         for j in range(rank, hi - lo):
-            dark = block @ vt[j]
+            dark = v[:, lo:hi] @ vt[j]
             vecs.append(dark)
             vals.append(w[lo:hi].mean())
     if vecs:
@@ -544,12 +548,12 @@ def _off_block_residual(h: np.ndarray, projectors: list[np.ndarray]) -> float:
     return float(np.abs(h - total).max())
 
 
-def _weight_classes(sorted_weights: list[float], rtol: float = 1e-12) -> dict[float, int]:
+def _weight_classes(sorted_weights: list[float]) -> dict[float, int]:
     classes: dict[float, int] = {}
     cls = -1
     prev = None
     for g in sorted_weights:
-        if prev is None or abs(g - prev) > rtol * max(abs(g), abs(prev), 1.0):
+        if prev is None or abs(g - prev) > _WEIGHT_RTOL * max(abs(g), abs(prev), 1.0):
             cls += 1
         classes[g] = cls
         prev = g

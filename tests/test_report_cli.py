@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinctrl import _exact
-from spinctrl.cli import main
+from spinctrl import _exact, report
+from spinctrl.cli import build_parser, main
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
 from spinctrl.network import (MAX_NODES, InvalidNetworkError, NetworkSpec, StarDescriptor,
@@ -47,31 +48,40 @@ class TestAnalyze:
         assert rep.closure["dimension"] == \
             lie_closure([sub.h0, sub.h1], mode="float").dimension
 
-    def test_closure_cap(self):
-        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)),
-                      skip_closure_above=5)
-        assert rep.closure["skipped"]
+    def test_closure_cap(self, monkeypatch):
+        monkeypatch.setattr(report, "_EXACT_CLOSURE_CAP", 5)
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
+        assert rep.closure == {"skipped": True, "reason": "d = 7 exceeds cap 5"}
         assert rep.consistency["closure_vs_predicate"] is None
         assert rep.consistency["closure_vs_structure"] is None
         assert rep.structure["dimension"] == 36
 
-    def test_closure_cap_spares_the_structure(self):
+    def test_float_closure_cap(self, monkeypatch):
+        monkeypatch.setattr(report, "_FLOAT_CLOSURE_CAP", 5)
+        rep = analyze(make_chain(7, [1.1] * 6, 0.0, controls=(1, 2)))
+        assert rep.closure == {"skipped": True, "reason": "d = 7 exceeds float cap 5"}
+        assert rep.structure is None
+        assert "closure_vs_structure" not in rep.consistency
+        # the exact cap is a separate constant: a rational network still closes
+        assert analyze(make_chain(7, "uniform", 0.0, controls=(1, 2))).closure["mode"] \
+            == "exact"
+
+    def test_closure_cap_spares_the_structure(self, monkeypatch):
         couplings = [1.1] * 44
         rep = analyze(make_chain(45, couplings, 0.0, controls=(3,)))
         assert not rep.closure["skipped"]
         assert rep.closure["mode"] == "structure"
         assert rep.closure["dimension"] == 45 * 45
-        two = analyze(make_chain(7, [1.1] * 6, 0.0, controls=(1, 2)),
-                      skip_closure_above=5)
-        assert two.closure["skipped"] and two.structure is None
-        assert "closure_vs_structure" not in two.consistency
+        monkeypatch.setattr(report, "_FLOAT_CLOSURE_CAP", 5)
+        rep = analyze(make_chain(7, [1.1] * 6, 0.0, controls=(3,)))
+        assert rep.closure["mode"] == "structure" and rep.closure["dimension"] == 49
 
     def test_unresolved_structure_does_not_decide(self):
         # two end-bound eigenvalues 3e-12 apart, both bright at node 7, fall in
         # one eigenspace; the structure would undercount n_B and read 2402
         rep = analyze(make_chain(50, "uniform", math.sqrt(3), controls=(7,)))
         assert not rep.structure["resolved"]
-        assert rep.closure["skipped"]
+        assert rep.closure == {"skipped": True, "reason": "d = 50 exceeds float cap 22"}
         assert rep.consistency["closure_vs_structure"] is None
         # two equal dimers with irrational couplings: an exact degeneracy,
         # closed in float like a network with more controls
@@ -123,7 +133,7 @@ class TestAnalyze:
         assert set(doc) == {
             "network", "subspace_dimension", "closure", "structure",
             "commutant_dimension", "dark_states", "internal_symmetry", "automorphisms",
-            "block_sizes", "analytic", "consistency", "timings", "seed", "tolerance"}
+            "block_sizes", "analytic", "consistency", "timings", "tolerance"}
         assert set(doc["closure"]) == {
             "skipped", "dimension", "full_dimension", "controllable", "note",
             "mode", "commutators_evaluated", "saturated"}
@@ -445,7 +455,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["chain", "--length", "4", "--kappa", "0.7071067811865476", "--control", "1"],
         ["chain", "--length", "4", "--kappa", "0", "--control", "1"],
-        ["chain", "--length", "4", "--control", "1", "--skip-closure-above", "1"],
+        # a float closure above the float cap: skipped, the tolerance still checked
+        ["chain", "--length", "23", "--kappa", "0.7", "--control", "1,2"],
         ["verify"],
     ])
     def test_invalid_tolerance_exit(self, argv, tol, capsys):
@@ -454,3 +465,38 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error:") and "finite and positive" in err
         assert "Traceback" not in err and "closure:" not in out
+
+    @pytest.mark.parametrize("length", [23, 40])
+    def test_float_cap_skips(self, length, capsys):
+        # float ranks inflate from d = 23 on, and the closure takes minutes by d = 28
+        rc = main(["chain", "--length", str(length), "--control", "1,2", "--kappa", "0.7"])
+        assert rc == 0
+        assert f"closure: skipped (d = {length} exceeds float cap 22)" in \
+            capsys.readouterr().out
+
+
+class TestNoKnobs:
+    """analyze() takes the network and the float tolerance, nothing else."""
+
+    def test_analyze_signature(self):
+        params = inspect.signature(analyze).parameters
+        assert list(params) == ["spec", "tolerance"]
+        assert params["tolerance"].default == 1e-6
+
+    def test_analysis_subparser_options(self):
+        ap = build_parser()
+        subparsers = next(a for a in ap._actions if a.dest == "command")
+        common = {"-h", "--help", "--tol", "--json"}
+        want = {"analyze": common | {"--input"},
+                "chain": common | {"--length", "--kappa", "--control", "--couplings"},
+                "star": common | {"--lengths", "--control", "--kappa"}}
+        for name, options in want.items():
+            got = {o for a in subparsers.choices[name]._actions for o in a.option_strings}
+            assert got == options, name
+
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--skip-closure-above", "5"]])
+    def test_removed_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--length", "7", "--control", "2"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

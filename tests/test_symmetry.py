@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -276,6 +277,56 @@ class TestBrightStructure:
         h0, _ = chain_pair(7, "uniform", 0.0, (2,))
         with pytest.raises(ValueError, match="one controlled node"):
             bright_structure(dark_states(h0, (2,), 0.5))
+
+
+def _external_symmetry_holds(h0, h1, control):
+    """The paper's single-node result, by number: every external symmetry
+    lives on the dark states. The commutant is the identity plus any operator
+    inside the m dark directions of each eigenspace, 1 + sum m^2 in all, and
+    decompose splits off the bright subspace and one block per dark state."""
+    dark = dark_states(h0, (control,))
+    dark_per_eigenspace = Counter(dark.eigenvalues.tolist()).values()
+    comm = commutant(h0, h1)
+    blocks = decompose(h0, h1, comm).block_sizes
+    bright = h0.shape[0] - dark.count
+    return (comm.dimension == 1 + sum(m * m for m in dark_per_eigenspace)
+            and blocks == tuple(sorted([bright] + [1] * dark.count)))
+
+
+class TestExternalSymmetry:
+    def test_single_node_networks(self, rng):
+        cases = []
+        for n in range(2, 16):
+            for k in range(1, n + 1):
+                for kappa in (0.0, 1.0, -1.0, 0.5):
+                    cases.append((chain_pair(n, "uniform", kappa, (k,)), k))
+        for n in range(2, 13):
+            for k in range(1, n + 1):
+                cases.append((chain_pair(n, "uniform", math.sqrt(3), (k,)), k))
+        for table, kappa in ((XX_BRANCH_TABLE, 0.0), (HEISENBERG_BRANCH_TABLE, 1.0)):
+            for ref in table:
+                sub = single_excitation(make_star(StarDescriptor(tuple(ref["lengths"])), kappa))
+                cases.append(((sub.h0, sub.h1), 1))
+        # equal branches: degenerate eigenspaces with several dark directions
+        for lengths in ((2, 2), (3, 3), (4, 4), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)):
+            for kappa in (0.0, 1.0):
+                sub = single_excitation(make_star(StarDescriptor(lengths), kappa))
+                cases.append(((sub.h0, sub.h1), 1))
+        for _ in range(60):
+            n = int(rng.integers(3, 11))
+            k = int(rng.integers(1, n + 1))
+            couplings = rng.uniform(0.2, 2.0, n - 1)
+            cases.append((chain_pair(n, couplings, float(rng.uniform(-2.0, 2.0)), (k,)), k))
+        for _ in range(60):
+            k = int(rng.integers(2, 7))
+            half = rng.uniform(0.2, 2.0, k - 1)
+            couplings = np.concatenate([half, half[::-1]])
+            cases.append((chain_pair(2 * k - 1, couplings, float(rng.uniform(-1.0, 1.0)),
+                                     (k,)), k))
+        assert len(cases) == 704
+        bad = [(h0.shape[0], k) for (h0, h1), k in cases
+               if not _external_symmetry_holds(h0, h1, k)]
+        assert not bad, bad
 
 
 class TestInternalSymmetry:
