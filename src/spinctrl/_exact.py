@@ -50,7 +50,9 @@ the control node, the dark states of the paper. The bound misses internal
 symmetries, such as the anticommuting one of the half-chain XX family:
 then, and whenever dim_p falls short of the bound, the big-integer oracle
 (fraction-free row elimination over the integers, one candidate at a time)
-reruns the loop, certifies the rank and supplies the elements. The modular
+reruns the loop, certifies the rank and supplies the elements. For one
+controlled node the bound is the dimension (symmetry.bright_structure
+proves it), so exact_structure returns it without any closure. The modular
 pass runs only when no int64 sum can overflow,
 max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
 big-integer oracle runs alone.
@@ -480,6 +482,22 @@ def exact_closure(generators):
             return dimension, lambda: _subspace_basis(span) + dark, evaluated, False
     elements, evaluated, saturated = integer_closure(seeds)
     return len(elements), lambda: elements, evaluated, saturated
+
+
+def exact_structure(h0, h1) -> tuple[int, int]:
+    """(n_B, dimension) of the closure of {i h0, i h1} over Q, for one
+    controlled node k (h1 = e_k e_k^T, h0 real symmetric and rational).
+
+    The dark-subspace bound of _dark_split is then the dimension itself:
+    its B is the Krylov space of e_k (the range of [h0, h1] is spanned by
+    e_k and h0 e_k), h1 vanishes on D, and the closure is
+    su(B) + span(h0, h1) (symmetry.bright_structure proves it), of
+    dimension n_B^2 + [h0 restricted to D is nonzero]. When h0 e_k is a
+    multiple of e_k the seeds commute, B comes out empty and the closure is
+    their span; the Krylov space is then the line of e_k, n_B = 1.
+    """
+    span, dark = _dark_split(integer_seeds([h0, h1]))
+    return max(len(span), 1), len(span) ** 2 + len(dark)
 
 
 def _dark_split(seeds):

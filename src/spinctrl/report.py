@@ -1,13 +1,14 @@
 """Analysis pipeline and table regeneration.
 
 analyze() runs the detectors and the closure over one network and bundles
-the results with consistency flags. The closure follows from the network:
-exact when every entry of h0 and h1 is a small-denominator rational (the
-rule _exact.integerize applies), so the rank is certified; otherwise, for a
-single controlled node, the dimension n_B^2 - 1 + r that
-symmetry.bright_structure reads off the bright subspace, when no bright
-eigenspace merges eigenvalues; otherwise a float closure at the given
-tolerance. Exact closures run up to d = _EXACT_CLOSURE_CAP and float ones up
+the results with consistency flags. The closure follows from the network.
+A single controlled node has dimension n_B^2 - 1 + r, fixed by the bright
+subspace: over Q (_exact.exact_structure) when every entry of h0 and h1 is
+a small-denominator rational (the rule _exact.integerize applies), else
+from the float spectrum (symmetry.bright_structure) when no bright
+eigenspace merges eigenvalues. Any other network is closed, exactly when it
+is rational, so the rank is certified, and in float at the given tolerance
+otherwise. Exact closures run up to d = _EXACT_CLOSURE_CAP and float ones up
 to d = _FLOAT_CLOSURE_CAP; larger ones are skipped. reproduce_table()
 recomputes a bundled reference table from scratch and diffs it row by row;
 branch-table rows are closed in exact mode (their data is integer, so ranks
@@ -64,19 +65,23 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
 
     A network with one control gets `structure`, the closure dimension
     n_B^2 - 1 + r read off the bright subspace (symmetry.bright_structure,
-    from the eigendecomposition dark_states already made); with more
-    controls `structure` is None. The closure then comes from one of three
-    places:
-      - exact arithmetic when _exact.is_rational accepts both h0 and h1
-        (closure["mode"] == "exact", a certified rank);
-      - otherwise, for one control and a resolved structure (no bright
-        eigenspace merges eigenvalues), the structure itself (mode
-        "structure", no brackets evaluated);
+    from the eigendecomposition dark_states already made), and its
+    "exact_bright_dimension", n_B over Q, or None when h0 or h1 is not
+    rational; with more controls `structure` is None. The closure then
+    comes from the first of four places that applies:
+      - one control and _exact.is_rational accepts both h0 and h1: the
+        exact structure, _exact.exact_structure (mode "exact-structure", a
+        certified dimension, no brackets evaluated);
+      - one control and a resolved structure (no bright eigenspace merges
+        eigenvalues): the float structure itself (mode "structure");
+      - rational entries: the exact closure (mode "exact", a certified rank);
       - otherwise a float closure with rank tolerance `tolerance`.
-    A single-node network whose closure ran also gets
-    consistency["closure_vs_structure"]. An exact closure above
-    d = _EXACT_CLOSURE_CAP or a float one above d = _FLOAT_CLOSURE_CAP is
-    skipped; a closure taken from the structure never is. timings holds the
+    A single-node network not decided by the float structure also gets
+    consistency["closure_vs_structure"], and consistency
+    ["dark_states_vs_structure"] compares the dark-state count with
+    d - n_B over Q (None without an exact structure). An exact closure
+    above d = _EXACT_CLOSURE_CAP or a float one above d = _FLOAT_CLOSURE_CAP
+    is skipped; a dimension taken from a structure never is. timings holds the
     seconds spent in each stage and each detector. A tolerance that is not
     finite and positive raises ValueError, also when no float closure runs.
     """
@@ -104,21 +109,23 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
 
     t0 = time.perf_counter()
     rational = _exact.is_rational(h0) and _exact.is_rational(h1)
-    decided = structure is not None and structure.resolved and not rational
     cap = _EXACT_CLOSURE_CAP if rational else _FLOAT_CLOSURE_CAP
-    vd = None
-    if decided:
-        vd = verdict(structure, d)
-        closure_info = _closure_info(vd, "structure", 0, vd.dimension == d * d)
+    exact = vd = mode = None
+    if structure is not None and rational:
+        exact = _ExactStructure(*_exact.exact_structure(h0, h1))
+        source, mode, evaluated = exact, "exact-structure", 0
+    elif structure is not None and structure.resolved:
+        source, mode, evaluated = structure, "structure", 0
     elif d > cap:
         label = "cap" if rational else "float cap"
         closure_info = {"skipped": True, "reason": f"d = {d} exceeds {label} {cap}"}
     else:
-        res = lie_closure([h0, h1], mode="exact" if rational else "float",
-                          tolerance=tolerance)
-        vd = verdict(res, d)
-        closure_info = _closure_info(vd, res.mode, res.commutators_evaluated,
-                                     res.saturated)
+        source = lie_closure([h0, h1], mode="exact" if rational else "float",
+                             tolerance=tolerance)
+        mode, evaluated = source.mode, source.commutators_evaluated
+    if mode is not None:
+        vd = verdict(source, d)
+        closure_info = _closure_info(vd, mode, evaluated)
     timings["closure"] = time.perf_counter() - t0
 
     analytic = _analytic_predictions(spec)
@@ -126,6 +133,8 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
     consistency = {}
     consistency["commutant_vs_dark_states"] = \
         comm.has_external_symmetry == (dark.count > 0)
+    consistency["dark_states_vs_structure"] = \
+        dark.count == d - exact.bright_dimension if exact is not None else None
     if vd is not None and analytic.get("predicted_controllable") is not None:
         consistency["closure_vs_predicate"] = \
             vd.controllable == analytic["predicted_controllable"]
@@ -139,8 +148,8 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
         consistency["closure_within_block_bound"] = None
         consistency["block_bound_saturated"] = None
     if structure is not None:
-        consistency["closure_vs_structure"] = \
-            vd.dimension == structure.dimension if vd is not None and not decided else None
+        consistency["closure_vs_structure"] = None if mode in (None, "structure") \
+            else vd.dimension == structure.dimension
 
     return AnalysisReport(
         network={
@@ -153,7 +162,8 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
         subspace_dimension=d,
         closure=closure_info,
         structure=None if structure is None else
-        {**asdict(structure), "dimension": structure.dimension},
+        {**asdict(structure), "dimension": structure.dimension,
+         "exact_bright_dimension": None if exact is None else exact.bright_dimension},
         commutant_dimension=comm.dimension,
         dark_states={
             "count": dark.count,
@@ -175,7 +185,16 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
     )
 
 
-def _closure_info(vd, mode: str, evaluated: int, saturated: bool) -> dict:
+class _ExactStructure:
+    """n_B and the closure dimension of a rational single-node network, from
+    _exact.exact_structure; `dimension` is named so that lie.verdict reads
+    it."""
+
+    def __init__(self, bright_dimension: int, dimension: int):
+        self.bright_dimension, self.dimension = bright_dimension, dimension
+
+
+def _closure_info(vd, mode: str, evaluated: int) -> dict:
     return {
         "skipped": False,
         "dimension": vd.dimension,
@@ -184,7 +203,7 @@ def _closure_info(vd, mode: str, evaluated: int, saturated: bool) -> dict:
         "note": vd.note,
         "mode": mode,
         "commutators_evaluated": evaluated,
-        "saturated": saturated,
+        "saturated": vd.dimension == vd.full_dimension,
     }
 
 

@@ -490,12 +490,13 @@ class TestLazyExactResult:
     only when they are read; analyze() reads neither."""
 
     @pytest.mark.parametrize("N,k,kappa,want", [
-        (30, 1, 0.0, {"dimension": 900, "commutators_evaluated": 1795, "saturated": True,
+        (30, 1, 0.0, {"dimension": 900, "saturated": True,
                       "controllable": True, "note": "dim = d^2 = 900, u(30)"}),
-        (30, 3, 1.0, {"dimension": 785, "commutators_evaluated": 1570, "saturated": False,
+        (30, 3, 1.0, {"dimension": 785, "saturated": False,
                       "controllable": False, "note": "dim = 785 < d^2 = 900"}),
     ])
     def test_analyze_builds_no_elements(self, monkeypatch, N, k, kappa, want):
+        # one control: analyze takes the exact structure and runs no closure
         from spinctrl.report import analyze
 
         def refuse(*args):
@@ -504,7 +505,26 @@ class TestLazyExactResult:
         monkeypatch.setattr(_exact, "_unitary_basis", refuse)
         monkeypatch.setattr(_exact, "_subspace_basis", refuse)
         closure = analyze(make_chain(N, "uniform", kappa, (k,))).closure
-        assert closure == dict(want, skipped=False, full_dimension=900, mode="exact")
+        assert closure == dict(want, skipped=False, full_dimension=900,
+                               mode="exact-structure", commutators_evaluated=0)
+
+    @pytest.mark.parametrize("N,controls,want", [
+        (30, (1, 2), {"dimension": 900, "commutators_evaluated": 1795, "saturated": True,
+                      "controllable": True, "note": "dim = d^2 = 900, u(30)"}),
+        (29, (3, 6), {"dimension": 730, "commutators_evaluated": 1460, "saturated": False,
+                      "controllable": False, "note": "dim = 730 < d^2 = 841"}),
+    ])
+    def test_analyze_exact_closure_builds_no_elements(self, monkeypatch, N, controls, want):
+        # the su(d) certificate and the dark bound, neither building elements
+        from spinctrl.report import analyze
+
+        def refuse(*args):
+            raise AssertionError("exact elements were built")
+
+        monkeypatch.setattr(_exact, "_unitary_basis", refuse)
+        monkeypatch.setattr(_exact, "_subspace_basis", refuse)
+        closure = analyze(make_chain(N, "uniform", 0.0, controls)).closure
+        assert closure == dict(want, skipped=False, full_dimension=N * N, mode="exact")
 
     def test_peak_memory_at_d30(self):
         import tracemalloc

@@ -15,6 +15,7 @@ from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
 from spinctrl.network import (MAX_NODES, InvalidNetworkError, NetworkSpec, StarDescriptor,
                               make_chain, make_star, parse_network)
+from spinctrl.reference import HEISENBERG_BRANCH_TABLE, XX_BRANCH_TABLE
 from spinctrl.report import analyze, reproduce_table
 
 
@@ -50,11 +51,16 @@ class TestAnalyze:
 
     def test_closure_cap(self, monkeypatch):
         monkeypatch.setattr(report, "_EXACT_CLOSURE_CAP", 5)
-        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(1, 2)))
         assert rep.closure == {"skipped": True, "reason": "d = 7 exceeds cap 5"}
         assert rep.consistency["closure_vs_predicate"] is None
-        assert rep.consistency["closure_vs_structure"] is None
-        assert rep.structure["dimension"] == 36
+        assert rep.structure is None
+        assert "closure_vs_structure" not in rep.consistency
+        # the exact cap binds only networks with more than one control
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
+        assert rep.closure["mode"] == "exact-structure"
+        assert rep.closure["dimension"] == rep.structure["dimension"] == 36
+        assert rep.consistency["closure_vs_structure"] is True
 
     def test_float_closure_cap(self, monkeypatch):
         monkeypatch.setattr(report, "_FLOAT_CLOSURE_CAP", 5)
@@ -108,14 +114,20 @@ class TestAnalyze:
     def test_exact_mode(self):
         rep = analyze(make_chain(7, "uniform", 0.0, controls=(2,)))
         assert rep.closure["dimension"] == 36
+        assert rep.closure["mode"] == "exact-structure"
+        assert rep.closure["commutators_evaluated"] == 0
+        assert rep.structure["exact_bright_dimension"] == 6
+        assert rep.consistency["dark_states_vs_structure"] is True
+        rep = analyze(make_chain(7, "uniform", 0.0, controls=(1, 2)))
         assert rep.closure["mode"] == "exact"
+        assert rep.consistency["dark_states_vs_structure"] is None
 
     def test_end_control_chain_23(self):
         # a float closure at tolerance 1e-6 inflates this algebra to 529 = d^2;
-        # the integer network is closed exactly instead
+        # the integer network is decided by its exact structure instead
         rep = analyze(make_chain(23, "uniform", 0.0, controls=(3,)))
         assert rep.closure["dimension"] == 442
-        assert rep.closure["mode"] == "exact"
+        assert rep.closure["mode"] == "exact-structure"
         assert rep.consistency["closure_vs_predicate"] is True
         assert rep.consistency["closure_within_block_bound"] is True
         assert rep.consistency["closure_vs_structure"] is True
@@ -139,7 +151,53 @@ class TestAnalyze:
             "mode", "commutators_evaluated", "saturated"}
         assert set(doc["structure"]) == {
             "bright_dimension", "trace_rank", "resolved", "dimension", "min_bright_overlap",
-            "max_dark_overlap", "min_split_gap", "max_merged_gap"}
+            "max_dark_overlap", "min_split_gap", "max_merged_gap", "exact_bright_dimension"}
+        assert doc["structure"]["exact_bright_dimension"] == 5
+
+    def test_exact_structure_runs_no_closure(self, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("lie_closure called")
+
+        monkeypatch.setattr(report, "lie_closure", no_closure)
+        for spec, want in [(make_chain(16, "uniform", 0.0, controls=(3,)), 256),
+                           (make_chain(17, "uniform", 0.0, controls=(3,)), 226),
+                           (make_chain(15, "uniform", 1.0, controls=(2,)), 197),
+                           (make_star(StarDescriptor((7, 5, 4)), 0.0), 196),
+                           (make_star(StarDescriptor((5, 5, 5, 2)), 1.0), 26)]:
+            rep = analyze(spec)
+            assert rep.closure["mode"] == "exact-structure"
+            assert rep.closure["dimension"] == want
+            assert rep.closure["saturated"] == (want == rep.subspace_dimension ** 2)
+            assert rep.consistency["closure_vs_structure"] is True
+            assert rep.consistency["dark_states_vs_structure"] is True
+
+    def test_exact_structure_above_the_exact_cap(self):
+        rep = analyze(make_chain(45, "uniform", 1.0, controls=(3,)))
+        assert rep.closure["mode"] == "exact-structure"
+        assert rep.closure["dimension"] == 1850
+        assert not rep.closure["controllable"]
+        assert rep.consistency["closure_vs_predicate"] is True
+        rep = analyze(make_chain(50, "uniform", 0.0, controls=(1,)))
+        assert rep.closure["dimension"] == 2500
+        assert rep.closure["controllable"] and rep.closure["saturated"]
+
+    def test_dark_states_vs_structure_on_fixtures(self):
+        count = 0
+        for n in range(2, 13):
+            for k in range(1, n + 1):
+                for kappa in (0.0, 1.0):
+                    rep = analyze(make_chain(n, "uniform", kappa, controls=(k,)))
+                    assert rep.consistency["dark_states_vs_structure"] is True, (n, k, kappa)
+                    count += 1
+        for table, kappa in ((XX_BRANCH_TABLE, 0.0), (HEISENBERG_BRANCH_TABLE, 1.0)):
+            for ref in table:
+                star = make_star(StarDescriptor(tuple(ref["lengths"])), kappa)
+                for node in range(1, star.node_count + 1):
+                    rep = analyze(NetworkSpec(star.node_count, star.edges, kappa, (node,)))
+                    assert rep.consistency["dark_states_vs_structure"] is True, \
+                        (ref["lengths"], kappa, node)
+                    count += 1
+        assert count == 154 + 219
 
 
 # integer, half-integer and irrational values (1.1 is no short binary fraction)
@@ -172,11 +230,12 @@ def test_analyze_fuzz_small_networks(spec):
     assert (rep.structure is not None) == single
     sub = single_excitation(spec)
     if _exact.is_rational(sub.h0) and _exact.is_rational(sub.h1):
-        assert rep.closure["mode"] == "exact"
+        assert rep.closure["mode"] == ("exact-structure" if single else "exact")
         elements, _, _ = _exact.integer_closure(_exact.integer_seeds([sub.h0, sub.h1]))
         assert rep.closure["dimension"] == len(elements)
         if single:
             assert rep.consistency["closure_vs_structure"] is True
+            assert rep.consistency["dark_states_vs_structure"] is True
     elif single:
         assert rep.closure["mode"] == \
             ("structure" if rep.structure["resolved"] else "float")
@@ -333,6 +392,9 @@ class TestCli:
 
     def test_exact_flag(self, capsys):
         rc = main(["chain", "--length", "5", "--kappa", "1", "--control", "1"])
+        assert rc == 0
+        assert "[exact-structure]" in capsys.readouterr().out
+        rc = main(["chain", "--length", "5", "--kappa", "1", "--control", "1,2"])
         assert rc == 0
         assert "[exact]" in capsys.readouterr().out
 

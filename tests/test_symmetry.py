@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import spinctrl.symmetry
 
 from conftest import generated_group, permutation_matrix
+from spinctrl import _exact
 from spinctrl.analytic import half_chain_witness
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
@@ -136,11 +137,16 @@ class TestDarkStates:
 
 
 def _structure_matches(h0, h1, control, mode):
-    """bright_structure gives the closure's dimension and the dark-state count."""
+    """bright_structure gives the closure's dimension and the dark-state count;
+    in exact mode _exact.exact_structure gives the same n_B and the exact
+    closure's dimension."""
     dark = dark_states(h0, (control,))
     st_ = bright_structure(dark)
     assert h0.shape[0] - st_.bright_dimension == dark.count
-    return st_.dimension == lie_closure([h0, h1], mode=mode).dimension
+    dimension = lie_closure([h0, h1], mode=mode).dimension
+    if mode == "exact":
+        assert _exact.exact_structure(h0, h1) == (st_.bright_dimension, dimension)
+    return st_.dimension == dimension
 
 
 @st.composite
@@ -272,6 +278,15 @@ class TestBrightStructure:
         s = bright_structure(dark_states(sub.h0, (1,)))
         assert not s.resolved
         assert s.dimension == lie_closure([sub.h0, sub.h1], mode="exact").dimension
+
+    def test_exact_structure_of_commuting_seeds(self):
+        # h0 e_k is a multiple of e_k: the seeds commute, _dark_split's B is
+        # empty, and the Krylov space is the line of e_k
+        for spec, want in [(NetworkSpec(1, (), 0.0, (1,)), (1, 1)),
+                           (NetworkSpec(3, ((2, 3, 1.0),), 0.5, (1,)), (1, 2))]:
+            sub = single_excitation(spec)
+            assert _exact.exact_structure(sub.h0, sub.h1) == want
+            assert _structure_matches(sub.h0, sub.h1, 1, "exact")
 
     def test_needs_one_control_at_dark_tol(self):
         h0, _ = chain_pair(7, "uniform", 0.0, (2,))
