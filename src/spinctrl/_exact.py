@@ -40,19 +40,19 @@ the dimension never builds them.
 A smaller dim_p is checked against an upper bound over Q (_dark_split). B is
 the smallest subspace that contains the ranges of the seed commutators and
 is invariant under every seed, computed over the integers on vectors of
-length d; D = B-perp is the dark part, where every seed acts and every
-commutator vanishes. u(B) + span(seeds restricted to D) is then a Lie
-algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D, and
-equality certifies the dimension (the elements are then the integer basis
-of u(B) and the seeds with independent dark parts). For a single-node
-Z-control, D is spanned by the eigenstates of the drift with no weight on
-the control node, the dark states of the paper. The bound misses internal
-symmetries, such as the anticommuting one of the half-chain XX family:
-then, and whenever dim_p falls short of the bound, the big-integer oracle
-(fraction-free row elimination over the integers, one candidate at a time)
-reruns the loop, certifies the rank and supplies the elements. For one
-controlled node the bound is the dimension (symmetry.bright_structure
-proves it), so exact_structure returns it without any closure. The modular
+length d (_bright_echelon); D = B-perp is the dark part, where every seed
+acts and every commutator vanishes. u(B) + span(seeds restricted to D) is
+then a Lie algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D,
+and equality certifies the dimension (the elements are then the integer
+basis of u(B) and the seeds with independent dark parts). The bound misses
+internal symmetries, such as the anticommuting one of the half-chain XX
+family: then, and whenever dim_p falls short of the bound, the big-integer
+oracle (fraction-free row elimination over the integers, one candidate at
+a time) reruns the loop, certifies the rank and supplies the elements. For
+one controlled node k the bound is the dimension (symmetry.bright_structure
+proves it), and exact_structure reads it off the Krylov space B of e_k
+without a closure or a basis of D: h0 is symmetric and leaves D invariant,
+so it vanishes on D exactly when every column of h0 lies in B. The modular
 pass runs only when no int64 sum can overflow,
 max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
 big-integer oracle runs alone.
@@ -488,16 +488,41 @@ def exact_structure(h0, h1) -> tuple[int, int]:
     """(n_B, dimension) of the closure of {i h0, i h1} over Q, for one
     controlled node k (h1 = e_k e_k^T, h0 real symmetric and rational).
 
-    The dark-subspace bound of _dark_split is then the dimension itself:
-    its B is the Krylov space of e_k (the range of [h0, h1] is spanned by
-    e_k and h0 e_k), h1 vanishes on D, and the closure is
-    su(B) + span(h0, h1) (symmetry.bright_structure proves it), of
-    dimension n_B^2 + [h0 restricted to D is nonzero]. When h0 e_k is a
-    multiple of e_k the seeds commute, B comes out empty and the closure is
-    their span; the Krylov space is then the line of e_k, n_B = 1.
+    B is the Krylov space of e_k under h0, and the closure is
+    su(B) + span(h0, h1) (symmetry.bright_structure proves it), of dimension
+    n_B^2 + [h0 restricted to D = B-perp is nonzero]. h0 is symmetric and
+    leaves B, hence D, invariant, so it vanishes on D exactly when every
+    column of h0 lies in B: one integer residual per column, and no basis
+    of D. Raises ValueError unless h1 is a multiple of e_k e_k^T.
     """
-    span, dark = _dark_split(integer_seeds([h0, h1]))
-    return max(len(span), 1), len(span) ** 2 + len(dark)
+    h0, h1 = integerize(h0), integerize(h1)
+    nonzero = np.argwhere(h1 != 0)
+    if len(nonzero) != 1 or nonzero[0, 0] != nonzero[0, 1]:
+        raise ValueError("exact_structure needs h1 = e_k e_k^T for one node k")
+    echelon = _bright_echelon([h0], [h1[nonzero[0, 0]]])
+    outside = any(any(echelon.residual(col)) for col in h0.T.tolist())
+    return len(echelon.rows), len(echelon.rows) ** 2 + outside
+
+
+def _bright_echelon(mats, vectors) -> _IntegerEchelon:
+    """Integer echelon of the smallest subspace that contains vectors and is
+    invariant under every matrix of mats (integer object arrays)."""
+    echelon = _IntegerEchelon()
+    queue = []
+
+    def extend(vec) -> None:
+        res = echelon.residual([int(x) for x in vec])
+        if any(res):
+            echelon.insert(res)
+            queue.append(np.array(res, dtype=object))
+
+    for vec in vectors:
+        extend(vec)
+    while queue:
+        vec = queue.pop()
+        for mat in mats:
+            extend(mat.dot(vec))
+    return echelon
 
 
 def _dark_split(seeds):
@@ -512,26 +537,14 @@ def _dark_split(seeds):
     vanishes on D. Hence u(B) + span(seeds restricted to D) is a Lie algebra
     containing the seeds, and the closure dimension is at most
     len(span)**2 + len(dark). An equal rank mod p certifies it.
+    exact_structure shares the loop (_bright_echelon) but needs no basis of
+    D: for one controlled node a column test decides the dark part.
     """
     d = seeds[0][1].shape[0]
     mats = [mat for _, mat in seeds]
-    echelon = _IntegerEchelon()
-    queue = []
-
-    def extend(vec) -> None:
-        res = echelon.residual([int(x) for x in vec])
-        if any(res):
-            echelon.insert(res)
-            queue.append(np.array(res, dtype=object))
-
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            for row in a.dot(b) - b.dot(a):  # antisymmetric: rows span the range
-                extend(row)
-    while queue:
-        vec = queue.pop()
-        for mat in mats:
-            extend(mat.dot(vec))
+    # commutators are antisymmetric: their rows span their ranges
+    echelon = _bright_echelon(mats, [row for i, a in enumerate(mats) for b in mats[i + 1:]
+                                     for row in a.dot(b) - b.dot(a)])
     span = [row for _, row in echelon.rows]
     null = np.array(_integer_nullspace(echelon.rows, d), dtype=object).reshape(-1, d).T
     parts = _IntegerEchelon()

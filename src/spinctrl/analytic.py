@@ -4,8 +4,9 @@ and star networks.
 For a uniform XXZ chain, eigenvectors have the plane-wave form
 v_m = A z^m + B z^{-m}, z = exp(i*theta). Requiring a zero at the controlled
 site k quantizes theta to j*pi/(N - (2k - 1)) and fixes the anisotropy to
-kappa = sin(k*theta)/sin((k-1)*theta). Every admissible (theta, kappa) pair
-is checked against an eigenvector-zero oracle before being reported.
+kappa = sin(k*theta)/sin((k-1)*theta). bethe_modes enumerates these pairs
+in closed form; bethe_symmetric_kappas also checks each against an
+eigenvector-zero oracle and reports the residual.
 """
 
 from __future__ import annotations
@@ -65,41 +66,45 @@ def control_site_residual(N: int, kappa: float, k: int) -> float:
     return float(dark.overlaps.min())
 
 
-def bethe_symmetric_kappas(N: int, k: int) -> BetheEnumeration:
-    """All kappa for which the uniform chain (N, control k) has a symmetry.
+def bethe_modes(N: int, k: int) -> tuple[bool, list[tuple[int, float, float]]]:
+    """The closed form alone: (all_kappa, modes), all_kappa as in
+    BetheEnumeration and each mode (j, theta, kappa), with no eigenvector.
 
     Candidates with sin((k-1)*theta) = 0 are kappa poles and are skipped;
     inside theta in (0, pi) the pole never coincides with sin(k*theta) = 0,
     so no 0/0 case arises. Duplicate kappas (within 1e-10) keep their first
-    mode index. Each retained solution carries the oracle verdict.
+    mode index. N = 2k - 1 and N = 2k have no j.
     """
     if N < 2:
         raise ValueError("chain length must be >= 2")
     if not (1 <= k <= (N + 1) // 2):
         raise ValueError(f"control index k={k} out of range 1..ceil(N/2)")
-    if N == 2 * k - 1:
-        return BetheEnumeration(N, k, all_kappa=True, solutions=[])
-    if N == 2 * k:
-        return BetheEnumeration(N, k, all_kappa=False, solutions=[])
-    denom = N - (2 * k - 1)
-    solutions: list[BetheSolution] = []
-    seen: list[float] = []
+    modes: list[tuple[int, float, float]] = []
     for j in range(1, N - 2 * k + 1):
-        theta = j * math.pi / denom
+        theta = j * math.pi / (N - (2 * k - 1))
         s_pole = math.sin((k - 1) * theta)
         if abs(s_pole) < _POLE_TOL:
             continue
         kappa = math.sin(k * theta) / s_pole
-        if any(abs(kappa - prev) < _DEDUP_TOL for prev in seen):
-            continue
-        seen.append(kappa)
+        if all(abs(kappa - prev) >= _DEDUP_TOL for _, _, prev in modes):
+            modes.append((j, theta, kappa))
+    return N == 2 * k - 1, modes
+
+
+def bethe_symmetric_kappas(N: int, k: int) -> BetheEnumeration:
+    """All kappa for which the uniform chain (N, control k) has a symmetry:
+    the modes of bethe_modes, each checked against the eigenvector-zero
+    oracle control_site_residual (one eigendecomposition per mode)."""
+    all_kappa, modes = bethe_modes(N, k)
+    solutions = []
+    for j, theta, kappa in modes:
         residual = control_site_residual(N, kappa, k)
         solutions.append(BetheSolution(
             chain_length=N, control_index=k, mode_index=j, theta=theta,
             kappa=kappa, phi=(2 * k - 1) * theta,
             z=complex(math.cos(theta), math.sin(theta)),
             verified=residual < VERIFY_TOL, residual=residual))
-    return BetheEnumeration(N, k, all_kappa=False, solutions=solutions)
+    return BetheEnumeration(N, k, all_kappa=all_kappa, solutions=solutions)
 
 
 def xx_symmetry_predicate(N: int, k: int) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _exact, reference
-from .analytic import (bethe_symmetric_kappas, heisenberg_controllable,
+from .analytic import (bethe_modes, bethe_symmetric_kappas, heisenberg_controllable,
                        star_controllable_conjecture, xx_controllable)
 from .hamiltonian import second_excitation_chain, single_excitation
 from .lie import check_tolerance, lie_closure, verdict
@@ -128,7 +128,7 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
         closure_info = _closure_info(vd, mode, evaluated)
     timings["closure"] = time.perf_counter() - t0
 
-    analytic = _analytic_predictions(spec)
+    analytic = timed("analytic", _analytic_predictions, spec)
 
     consistency = {}
     consistency["commutant_vs_dark_states"] = \
@@ -208,6 +208,9 @@ def _closure_info(vd, mode: str, evaluated: int) -> dict:
 
 
 def _analytic_predictions(spec: NetworkSpec) -> dict:
+    """The closed-form predicates that apply to spec. A uniform chain also
+    gets its symmetric kappas from analytic.bethe_modes, which runs no
+    eigenvector oracle (bethe_symmetric_kappas does)."""
     out: dict = {"applicable": False}
     uniform = len({g for _, _, g in spec.edges}) == 1 and \
         all(abs(g - 1.0) < 1e-12 for _, _, g in spec.edges)
@@ -227,14 +230,11 @@ def _analytic_predictions(spec: NetworkSpec) -> dict:
         else:
             out["predicted_controllable"] = None
         k_fold = min(k, N + 1 - k)  # mirror image has the same symmetries
-        enum = bethe_symmetric_kappas(N, k_fold)
-        out["symmetric_kappas"] = [s.kappa for s in enum.solutions]
-        out["every_kappa_symmetric"] = enum.all_kappa
-        if enum.all_kappa:
-            out["kappa_is_symmetric"] = True
-        else:
-            out["kappa_is_symmetric"] = any(
-                abs(spec.kappa - s.kappa) < 1e-9 for s in enum.solutions)
+        all_kappa, modes = bethe_modes(N, k_fold)
+        out["symmetric_kappas"] = [kappa for _, _, kappa in modes]
+        out["every_kappa_symmetric"] = all_kappa
+        out["kappa_is_symmetric"] = all_kappa or any(
+            abs(spec.kappa - kappa) < 1e-9 for kappa in out["symmetric_kappas"])
     elif spec.topology == "star" and uniform and single and spec.star_lengths:
         out["applicable"] = True
         out["family"] = "uniform-star"

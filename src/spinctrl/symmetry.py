@@ -196,7 +196,8 @@ def bright_structure(dark: DarkStateSet) -> BrightStructure:
     both are symmetric) and h1 vanishes on D. So on D every element of L is
     a multiple of h0|_D, and every commutator vanishes on D and is traceless
     on B: [L, L] lies in su(B) + 0, and L in su(B) + span(h0, h1). This is
-    the argument of _exact._dark_split.
+    the argument of _exact._dark_split, and why _exact.exact_structure
+    needs only the Krylov space B over Q.
 
     Lower bound: su(B) + 0 lies in L. Put A = h0|_B, P = h1|_B = e e^T with
     e = e_k, x_m = A^m e and g_m = e^T A^m e; x_0..x_{n_B-1} is a basis of

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import (closed_form_eigensystem, scan_symmetric_kappas,
                       star_end_control_predicate)
+from spinctrl import analytic
 from spinctrl.analytic import (bethe_symmetric_kappas, heisenberg_controllable,
                                star_controllable_conjecture, xx_controllable,
                                xx_symmetry_predicate)
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure, verdict
 from spinctrl.network import make_chain
+from spinctrl.report import analyze
 from spinctrl.symmetry import dark_states
 
 
@@ -99,6 +101,28 @@ class TestBetheEnumeration:
                     sub = single_excitation(make_chain(n, "uniform", kappa,
                                                        controls=(k,)))
                     assert dark_states(sub.h0, (k,)).count == 0, (n, k, kappa)
+
+    def test_analyze_reports_the_oracle_kappas(self):
+        # analyze enumerates in closed form; bethe_symmetric_kappas also runs
+        # the oracle: both give the same kappas, in the same order
+        for n in range(2, 21):
+            for k in range(1, n + 1):
+                k_fold = min(k, n + 1 - k)
+                enum = bethe_symmetric_kappas(n, k_fold)
+                for kappa in (0.0, 1.0, -1.0, 0.5):
+                    rep = analyze(make_chain(n, "uniform", kappa, controls=(k,)))
+                    assert rep.analytic["symmetric_kappas"] == enum.kappas(), (n, k, kappa)
+                    assert rep.analytic["every_kappa_symmetric"] == enum.all_kappa
+
+    def test_analyze_runs_no_oracle(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("control_site_residual called")
+
+        want = bethe_symmetric_kappas(16, 3).kappas()
+        monkeypatch.setattr(analytic, "control_site_residual", no_oracle)
+        rep = analyze(make_chain(16, "uniform", 0.0, controls=(3,)))
+        assert rep.closure["dimension"] == 256
+        assert rep.analytic["symmetric_kappas"] == want
 
 
 class TestGcdPredicates:

@@ -136,7 +136,7 @@ class TestAnalyze:
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
         assert set(rep.timings) == {
             "hamiltonian", "commutant", "dark_states", "internal_symmetry",
-            "automorphisms", "decompose", "structure", "closure"}
+            "automorphisms", "decompose", "structure", "closure", "analytic"}
 
     def test_report_serializes(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
@@ -159,6 +159,17 @@ class TestAnalyze:
             raise AssertionError("lie_closure called")
 
         monkeypatch.setattr(report, "lie_closure", no_closure)
+        self._check_exact_structures()
+
+    def test_exact_structure_builds_no_dark_basis(self, monkeypatch):
+        def no_nullspace(*args, **kwargs):
+            raise AssertionError("_integer_nullspace called")
+
+        monkeypatch.setattr(_exact, "_integer_nullspace", no_nullspace)
+        self._check_exact_structures()
+
+    @staticmethod
+    def _check_exact_structures():
         for spec, want in [(make_chain(16, "uniform", 0.0, controls=(3,)), 256),
                            (make_chain(17, "uniform", 0.0, controls=(3,)), 226),
                            (make_chain(15, "uniform", 1.0, controls=(2,)), 197),

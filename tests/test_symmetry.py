@@ -288,6 +288,17 @@ class TestBrightStructure:
             assert _exact.exact_structure(sub.h0, sub.h1) == want
             assert _structure_matches(sub.h0, sub.h1, 1, "exact")
 
+    def test_exact_structure_column_test(self):
+        # chain 3/2: h0 vanishes on D (r = 1); chain 5/3: it does not (r = 2)
+        for n, k, want in [(3, 2, (2, 4)), (5, 3, (3, 10))]:
+            sub = single_excitation(make_chain(n, "uniform", 0.0, controls=(k,)))
+            assert _exact.exact_structure(sub.h0, sub.h1) == want
+
+    def test_exact_structure_needs_one_control(self):
+        sub = single_excitation(make_chain(5, "uniform", 0.0, controls=(1, 2)))
+        with pytest.raises(ValueError, match="one node"):
+            _exact.exact_structure(sub.h0, sub.h1)
+
     def test_needs_one_control_at_dark_tol(self):
         h0, _ = chain_pair(7, "uniform", 0.0, (2,))
         with pytest.raises(ValueError, match="one controlled node"):
