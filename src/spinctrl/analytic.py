@@ -33,7 +33,6 @@ class BetheSolution:
     theta: float
     kappa: float
     phi: float             # (2k - 1) * theta
-    z: complex             # exp(i*theta)
     verified: bool
     residual: float        # smallest control-site amplitude over eigenspaces
 
@@ -102,7 +101,6 @@ def bethe_symmetric_kappas(N: int, k: int) -> BetheEnumeration:
         solutions.append(BetheSolution(
             chain_length=N, control_index=k, mode_index=j, theta=theta,
             kappa=kappa, phi=(2 * k - 1) * theta,
-            z=complex(math.cos(theta), math.sin(theta)),
             verified=residual < VERIFY_TOL, residual=residual))
     return BetheEnumeration(N, k, all_kappa=all_kappa, solutions=solutions)
 

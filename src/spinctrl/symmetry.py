@@ -8,7 +8,9 @@ commute, and M -> sym(M) + i*antisym(M) is a bijection onto the Hermitian
 commutant, so the dimension of the real solution space already is the
 Hermitian commutant dimension. The commutant and the anticommutant are
 solved in the eigenbasis of the drift, where it leaves only the entries
-inside eigenspaces (or pairing opposite eigenvalues) free.
+inside eigenspaces (or pairing opposite eigenvalues) free. The entries
+between directions the control does not see are solved in closed form;
+the rest are two dense systems, one per transpose parity.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class DecompositionError(RuntimeError):
 @dataclass
 class CommutantBasis:
     dimension: int
-    basis: list[np.ndarray]  # Hermitian, orthonormal under Re tr(A^H B)
+    basis: np.ndarray  # (dimension, d, d) Hermitian, orthonormal under Re tr(A^H B)
     has_external_symmetry: bool
 
 
@@ -86,7 +88,7 @@ class AnticommutantResult:
     dimension: int
     has_internal_symmetry: bool
     symmetry_type: str | None  # "orthogonal", "symplectic", "mixed", or None
-    basis: list[np.ndarray] = field(default_factory=list)
+    basis: np.ndarray | list = field(default_factory=list)  # (dimension, d, d) real, or []
 
 
 @dataclass
@@ -113,17 +115,29 @@ def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> Commut
 
     In the eigenbasis V of h0 a real M commutes with h0 iff M' = V^T M V
     is block diagonal over the eigenspaces (eigenvalues grouped as in
-    dark_states), so only those sum(m_i^2) entries are unknowns. They are
-    the nullspace of M' -> [V^T h1 V, M']; each solution maps back as
-    V M' V^T. Both maps are isometries, so the basis stays orthonormal.
+    dark_states); the control condition is [V^T h1 V, M'] = 0. Each
+    eigenspace is rotated so that its dark directions (h1 v = 0) come last.
+    Its dark x dark block is then free, (m - r)^2 elements, and its mixed
+    dark x bright entries vanish: the dark row of M' meets only the bright
+    columns of V^T h1 V, whose singular values are those of h1 V_g. Only the
+    bright x bright entries reach the solver. A symmetric solution S and an
+    antisymmetric one A are the Hermitian S and iA; both maps are
+    isometries, so the basis stays orthonormal.
     """
     w, v = np.linalg.eigh(h0)
-    groups = np.zeros(len(w), dtype=int)
-    for label, (lo, hi) in enumerate(_eigen_groups(w, _DEGENERACY_TOL * _scale(w))):
-        groups[lo:hi] = label
-    sols = _eigenbasis_solutions(v, groups[:, None] == groups[None, :], h1, -1.0,
-                                 tolerance)
-    herm = [0.5 * (m + m.T) + 0.5j * (m - m.T) for m in sols]
+    labels = _group_labels(w, _DEGENERACY_TOL * _scale(w))
+    v, b, bright, sigma = _bright_first(v, labels, h1, tolerance)
+    if labels[-1] + 1 == len(labels):
+        sym, anti = _diagonal_commutant(v, b, bright, tolerance), np.zeros((0,) + h0.shape)
+    else:
+        rows, cols = _upper_pairs(labels[:, None] == labels)
+        mixed = bright[rows] != bright[cols]
+        s_mixed = float(np.maximum(sigma[rows], sigma[cols])[mixed].max(initial=0.0))
+        sym, anti = _eigenbasis_solutions(v, b, bright, 0.0, rows[~mixed], cols[~mixed],
+                                          -1.0, s_mixed, tolerance)
+    herm = np.zeros((len(sym) + len(anti),) + h0.shape, dtype=complex)
+    herm.real[:len(sym)] = sym
+    herm.imag[len(sym):] = anti
     return CommutantBasis(dimension=len(herm), basis=herm,
                           has_external_symmetry=len(herm) > 1)
 
@@ -253,36 +267,41 @@ def internal_symmetry(h0: np.ndarray, h1: np.ndarray,
     eigenbasis V of Hb0, S' = V^T S V may be nonzero only at the entries
     (i, j) with lambda_i + lambda_j = 0 (within the eigenvalue gap of
     dark_states); those unknowns are constrained by the Hb1 anticommutator
-    and each solution maps back as V S' V^T. Solutions split by transpose
-    parity: symmetric solutions signal orthogonal type, antisymmetric ones
+    and each solution maps back as V S' V^T. With V rotated as in commutant,
+    V^T Hb1 V is -tau on the diagonal of a dark direction and zero elsewhere
+    in its row (tau = tr h1 / d), so a dark x dark unknown meets only its own
+    equation, with coefficient -2 tau: it vanishes unless tau does. The
+    symmetric solutions signal orthogonal type, the antisymmetric ones
     symplectic; an internal symmetry needs an invertible solution.
     """
     d = h0.shape[0]
-    eye = np.eye(d)
-    hb0, hb1 = (h - (np.trace(h) / d) * eye for h in (h0, h1))
-    w, v = np.linalg.eigh(hb0)
-    paired = np.abs(w[:, None] + w[None, :]) <= _DEGENERACY_TOL * _scale(w)
-    sols = _eigenbasis_solutions(v, paired, hb1, 1.0, tolerance)
-    dim = len(sols)
+    w, v = np.linalg.eigh(h0)
+    w -= np.trace(h0) / d  # the spectrum of Hb0, whose eigenvectors these are
+    gap = _DEGENERACY_TOL * _scale(w)
+    labels = _group_labels(w, gap)
+    w = (np.bincount(labels, w) / np.bincount(labels))[labels]  # pair whole eigenspaces
+    rows, cols = _upper_pairs(np.abs(w[:, None] + w) <= gap)
+    dim = 0
+    if rows.size:
+        v, b, bright, _ = _bright_first(v, labels, h1, tolerance)
+        sym, anti = _eigenbasis_solutions(v, b, bright, np.trace(h1) / d, rows, cols, 1.0,
+                                          0.0, tolerance)
+        dim = len(sym) + len(anti)
     if dim == 0:
         return AnticommutantResult(dimension=0, has_internal_symmetry=False,
                                    symmetry_type=None)
-    sym_part = [0.5 * (s + s.T) for s in sols]
-    anti_part = [0.5 * (s - s.T) for s in sols]
-    has_sym = _matrix_rank_of_span(sym_part, tolerance) > 0
-    has_anti = _matrix_rank_of_span(anti_part, tolerance) > 0
+    sols = np.concatenate([sym, anti])
     invertible = False
     rng = np.random.default_rng(0)
     for _ in range(8):
-        coeff = rng.standard_normal(dim)
-        cand = sum(c * s for c, s in zip(coeff, sols))
+        cand = np.tensordot(rng.standard_normal(dim), sols, 1)
         smin = np.linalg.svd(cand, compute_uv=False)[-1]
         if smin > tolerance * max(1.0, np.abs(cand).max()):
             invertible = True
             break
-    if has_sym and has_anti:
+    if len(sym) and len(anti):
         stype = "mixed"
-    elif has_sym:
+    elif len(sym):
         stype = "orthogonal"
     else:
         stype = "symplectic"
@@ -366,6 +385,10 @@ def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
         color = relabeled
 
     base = sorted(range(1, n + 1), key=lambda v: (color[v], v))
+    # the images fits can accept for v: the nodes of its color, ascending
+    same_color: dict = {}
+    for v in range(1, n + 1):
+        same_color.setdefault(color[v], []).append(v)
     generators: list[tuple[int, ...]] = []
     group_order = 1
     mapping: dict[int, int] = {}
@@ -398,7 +421,7 @@ def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
         if pos == n:
             return True
         v = base[pos]
-        for img in range(1, n + 1):
+        for img in same_color[color[v]]:
             if fits(v, img):
                 assign(v, img)
                 if extend(pos + 1):
@@ -459,7 +482,7 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
     for _ in range(_MAX_DRAWS):
         coeff = rng.standard_normal(comm.dimension)
         coeff /= np.linalg.norm(coeff)
-        generic = sum(c * b for c, b in zip(coeff, comm.basis))
+        generic = np.tensordot(coeff, comm.basis, 1)
         refined = []
         for basis_cols in projectors:
             sub = basis_cols.conj().T @ generic @ basis_cols
@@ -467,7 +490,7 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
             for lo, hi in _eigen_groups(w, 1e-6 * _scale(w)):
                 refined.append(basis_cols @ v[:, lo:hi])
         projectors = refined
-        worst = max(_off_block_residual(h, projectors) for h in (h0, h1))
+        worst = _off_block_residual((h0, h1), projectors)
         history.append(worst)
         if worst <= tolerance * scale:
             ordered = sorted(projectors, key=lambda p: p.shape[1])
@@ -479,74 +502,204 @@ def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
         f"off-block residuals {history}")
 
 
-def _nullspace(a: np.ndarray, tolerance: float) -> np.ndarray:
-    """Columns spanning {x : a x = 0}, SVD-based, threshold relative to s_max."""
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of a, descending, and a full set of right singular
+    vectors: the rows of vt past the last value above a threshold span the
+    nullspace."""
     cols = a.shape[1]
     if not a.size:
-        return np.eye(cols)
+        return np.zeros(0), np.eye(cols)
     # a tall system needs only the thin factors: vt is then cols x cols already
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
-    rank = int(np.sum(s > tolerance * max(s.max(), 1.0)))
-    return vt[rank:].T.conj()
+    return s, vt
 
 
-def _eigenbasis_solutions(v: np.ndarray, support: np.ndarray, h: np.ndarray,
-                          sign: float, tolerance: float) -> list[np.ndarray]:
-    """Real X with X' = v^T X v zero off `support` and b X' + sign X' b = 0,
-    where b = v^T h v; returned as v X' v^T, orthonormal in Frobenius norm.
+def _bright_first(v: np.ndarray, labels: np.ndarray, h: np.ndarray, tolerance: float):
+    """Rotate each eigenspace (the columns of v with one label) by the right
+    singular vectors of h V_g, so that its directions come in descending
+    |h v|; a singleton keeps its column and reads |h v| as a column norm.
+    A direction is bright when |h v| exceeds tolerance relative to the
+    largest (at least 1), and dark otherwise.
 
-    The unknowns are the entries X'[r, s] on the support. Unknown (r, s)
-    enters (b X')[p, s] with coefficient b[p, r] and (X' b)[r, q] with
-    b[s, q], so the system has d^2 rows and one column per unknown.
+    Returns the rotated v, b = v^T h v with the rows and columns of the dark
+    directions set to zero, the bright mask and |h v| per direction.
     """
-    d = v.shape[0]
-    rows, cols = np.nonzero(support)
-    b = v.T @ h @ v
-    system = np.zeros((d, d, rows.size))
-    unknown = np.arange(rows.size)
-    system[:, cols, unknown] = b[:, rows]
-    system[rows, :, unknown] += sign * b[cols, :]
-    null = _nullspace(system.reshape(d * d, rows.size), tolerance)
+    hv = h @ v
+    sigma = np.sqrt(np.einsum("ij,ij->j", hv, hv))
+    if labels[-1] + 1 < len(labels):  # some eigenspace holds several directions
+        for g in np.flatnonzero(np.bincount(labels) > 1):
+            cols = np.flatnonzero(labels == g)
+            _, sigma[cols], vt = np.linalg.svd(hv[:, cols], full_matrices=False)
+            v[:, cols] = v[:, cols] @ vt.T
+            hv[:, cols] = hv[:, cols] @ vt.T
+    bright = sigma > tolerance * max(1.0, sigma.max())
+    b = v.T @ hv
+    if not bright.all():
+        b[~bright] = 0.0
+        b[:, ~bright] = 0.0
+    return v, b, bright, sigma
+
+
+def _diagonal_commutant(v: np.ndarray, b: np.ndarray, bright: np.ndarray,
+                        tolerance: float) -> np.ndarray:
+    """The commutant solutions of _eigenbasis_solutions for a simple
+    spectrum, built on the triangle directly: X' is diagonal, each dark
+    direction is a free element, and on the bright ones [b, X'] has the rows
+    sqrt(2) b[p, q] (x_q - x_p), p < q. Returned as the stack v X' v^T."""
+    lit = np.flatnonzero(bright)
+    dark = np.flatnonzero(~bright)
+    p, q = np.nonzero(lit[:, None] < lit)
+    row = np.arange(p.size)
+    system = np.zeros((p.size, lit.size))
+    system[row, q] = np.sqrt(2.0) * b[lit[p], lit[q]]
+    system[row, p] = -system[row, q]
+    s_vals, vt = _svd(system)
+    null = vt[np.sum(s_vals > tolerance * max(1.0, s_vals.max(initial=0.0))):]
+    x = np.zeros((dark.size + len(null), len(b)))
+    x[np.arange(dark.size), dark] = 1.0
+    x[dark.size:, lit] = null
+    return (v * x[:, None, :]) @ v.T
+
+
+def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i <= j, where the symmetric mask holds."""
+    rows, cols = np.nonzero(mask)
+    upper = rows <= cols
+    return rows[upper], cols[upper]
+
+
+def _eigenbasis_solutions(v: np.ndarray, b: np.ndarray, bright: np.ndarray, shift: float,
+                          rows: np.ndarray, cols: np.ndarray, sign: float, s_extra: float,
+                          tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real X with c X' + sign X' c = 0, c = b - shift I for b from
+    _bright_first, where X' = v^T X v is zero outside the unknown entries
+    (rows[k], cols[k]) and their transposes (rows <= cols). Returned as two
+    stacks of v X' v^T, the symmetric solutions and the antisymmetric ones,
+    each orthonormal in Frobenius norm.
+
+    c is symmetric, so [c, .] and {c, .} map each transpose parity of X' to
+    a fixed parity: the two parities are two systems (see _parity_system)
+    whose singular values together are those of the full d^2-row system.
+    In the row and column of a dark direction c is -shift on the diagonal
+    and zero elsewhere, so a dark x dark unknown meets only its own
+    equation, with coefficient -shift (1 + sign): it is free when that is
+    at the threshold and zero otherwise. The solver sees the other unknowns,
+    on the directions they touch: the bright ones and the dark ones that
+    share an unknown with a bright one. `s_extra` is the largest singular
+    value of the parts the caller solved in closed form. The threshold is
+    tolerance times the largest singular value of all parts, at least 1, as
+    for the full system.
+    """
+    d = len(b)
+    if bright.all():
+        free = rows[:0], cols[:0]
+        c, at = b, np.arange(d)  # b is the caller's own copy
+    else:
+        lit = bright[rows] | bright[cols]
+        free = rows[~lit], cols[~lit]
+        rows, cols = rows[lit], cols[lit]
+        touched = bright.copy()
+        touched[rows] = touched[cols] = True
+        c, at = b[touched][:, touched], np.cumsum(touched) - 1  # position in c
+    if shift:
+        c.flat[::len(c) + 1] -= shift
+    off = rows < cols
+    parities = np.repeat([1.0, -1.0], [rows.size, off.sum()])
+    system = _parity_system(c, at[np.concatenate([rows, rows[off]])],
+                            at[np.concatenate([cols, cols[off]])], parities, sign)
+    systems = [(rows, cols, *_svd(system[:, :rows.size])),
+               (rows[off], cols[off], *_svd(system[:, rows.size:]))]
+    s_dark = abs(shift) * (1.0 + sign) if free[0].size else 0.0
+    threshold = tolerance * max([s_extra, s_dark, 1.0] + [x[2].max(initial=0.0)
+                                                        for x in systems])
+    if s_dark > threshold:
+        free = rows[:0], cols[:0]
     out = []
-    for x in null.T:
-        xp = np.zeros((d, d))
-        xp[rows, cols] = x
-        out.append(v @ xp @ v.T)
+    for parity, (r, s, s_vals, vt) in zip((1.0, -1.0), systems):
+        if parity < 0 and free[0].size:
+            off = free[0] < free[1]
+            free = free[0][off], free[1][off]
+        null = vt[np.sum(s_vals > threshold):].T
+        if free[0].size or null.size:
+            out.append(v @ _parity_matrices(d, *free, r, s, null, parity) @ v.T)
+        else:
+            out.append(np.zeros((0, d, d)))
+    return out[0], out[1]
+
+
+def _parity_system(c: np.ndarray, r: np.ndarray, s: np.ndarray, parity: np.ndarray,
+                   sign: float) -> np.ndarray:
+    """Matrix of X' -> c X' + sign X' c on the unknowns E_k of
+    _parity_matrices, each of transpose parity parity[k]. For symmetric c,
+    E_k c = parity (c E_k)^T, so the image of E_k has parity sign * parity.
+    The rows are the upper triangle of the image, weighted by sqrt(2) off the
+    diagonal, so that the singular values of the columns of one parity are
+    those of the map in Frobenius norm (an antisymmetric image adds only
+    zero rows, its diagonal)."""
+    n = len(c)
+    a = np.where(r == s, 0.5, np.sqrt(0.5))
+    k = np.arange(r.size)
+    image = np.zeros((n, n, r.size))  # c E_k, then c E_k + sign E_k c
+    image[:, s, k] = a * c[:, r]
+    image[:, r, k] += parity * a * c[:, s]
+    image += sign * parity * image.transpose(1, 0, 2)
+    idx = np.arange(n)
+    image[idx, idx] *= np.sqrt(0.5)
+    return image[idx[:, None] <= idx] * np.sqrt(2.0)
+
+
+def _parity_matrices(n: int, free_r: np.ndarray, free_s: np.ndarray, r: np.ndarray,
+                     s: np.ndarray, coeff: np.ndarray, parity: float) -> np.ndarray:
+    """Stack of n x n matrices: one E_k per free unknown (free_r, free_s),
+    then sum_k coeff[k, i] E_k over the unknowns (r, s) for each column i of
+    coeff. E_k = a_k (e_r e_s^T + parity e_s e_r^T), a_k = 1/sqrt(2) off the
+    diagonal and 1/2 on it."""
+    m = free_r.size
+    out = np.zeros((m + coeff.shape[1], n, n))
+    if m:
+        k = np.arange(m)
+        a = np.where(free_r == free_s, 0.5, np.sqrt(0.5))
+        out[k, free_r, free_s] = a
+        out[k, free_s, free_r] += parity * a
+    if coeff.size:
+        scaled = (np.where(r == s, 0.5, np.sqrt(0.5))[:, None] * coeff).T
+        out[m:, r, s] = scaled
+        out[m:, s, r] += parity * scaled
     return out
 
 
 def _scale(w: np.ndarray) -> float:
-    """Spectral scale of eigenvalues w, at least 1: eigenvalue gaps are
-    measured relative to it."""
-    return max(1.0, float(np.abs(w).max()) if w.size else 1.0)
+    """Spectral scale of eigenvalues w, ascending, at least 1: eigenvalue
+    gaps are measured relative to it."""
+    return max(1.0, abs(w[0]), abs(w[-1])) if len(w) else 1.0
+
+
+def _group_labels(w: np.ndarray, gap: float) -> np.ndarray:
+    """Per eigenvalue (ascending), the index of its cluster in _eigen_groups."""
+    labels = np.zeros(len(w), dtype=np.intp)
+    np.cumsum(np.diff(w) > gap, out=labels[1:])
+    return labels
 
 
 def _eigen_groups(w: np.ndarray, gap: float):
     """Index ranges [lo, hi) of eigenvalue clusters separated by > gap."""
-    groups = []
-    lo = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > gap:
-            groups.append((lo, i))
-            lo = i
-    if len(w):
-        groups.append((lo, len(w)))
-    return groups
+    edges = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
+    return list(zip(edges[:-1], edges[1:])) if len(w) else []
 
 
-def _matrix_rank_of_span(mats: list[np.ndarray], tolerance: float) -> int:
-    stack = np.array([m.ravel() for m in mats])
-    if not stack.size:
-        return 0
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s > tolerance * max(s.max(), 1.0)))
-
-
-def _off_block_residual(h: np.ndarray, projectors: list[np.ndarray]) -> float:
-    total = np.zeros_like(h, dtype=complex)
-    for p in projectors:
-        total += p @ (p.conj().T @ h @ p) @ p.conj().T
-    return float(np.abs(h - total).max())
+def _off_block_residual(hs, projectors: list[np.ndarray]) -> float:
+    """Largest entry of each h outside the blocks, h - sum_p p p^H h p p^H,
+    computed once in the stacked basis q of the projectors: q^H h q with its
+    diagonal blocks zeroed, mapped back through q."""
+    q = np.hstack(projectors)
+    labels = np.repeat(np.arange(len(projectors)), [p.shape[1] for p in projectors])
+    inside = labels[:, None] == labels[None, :]
+    worst = 0.0
+    for h in hs:
+        m = q.conj().T @ h @ q
+        m[inside] = 0.0
+        worst = max(worst, float(np.abs(q @ m @ q.conj().T).max()))
+    return worst
 
 
 def _weight_classes(sorted_weights: list[float]) -> dict[float, int]:

@@ -3,13 +3,14 @@ against the brute-force oracles of conftest: the Kronecker-system commutant
 and anticommutant, and the full listing of the automorphism group."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (enumerate_automorphisms, generated_group, kron_commutant,
                       kron_internal_symmetry)
-from spinctrl import reference
+from spinctrl import reference, symmetry
 from spinctrl.acceptance import _gcd_sweep_fixtures, _random_chains
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.network import NetworkSpec, StarDescriptor, make_chain, make_star
@@ -36,6 +37,20 @@ def _detector_fixtures():
         yield (f"half chain k={k}",
                _pair(make_chain(2 * k, "uniform", 0.0, tuple(range(1, k + 1)))))
     yield "disconnected pair", (np.zeros((2, 2)), np.diag([1.0, 0.0]))
+    # the stars of the detect benchmark: large dark eigenspaces
+    for lengths in ((2,) * 11, (2,) * 8, (6,) * 5, (4, 4, 4, 3, 3, 3, 2)):
+        yield f"star {lengths}", _pair(make_star(StarDescriptor(lengths), 0.0))
+    # one eigenspace holding every direction, bright and dark ones mixed
+    yield "12 nodes without edges, control 1", _pair(NetworkSpec(12, (), 0.0, (1,)))
+    yield "12 nodes without edges, controls 1, 2", _pair(NetworkSpec(12, (), 0.0, (1, 2)))
+    # several controls: a mirror-symmetric control set, and stars whose
+    # degenerate eigenspaces are partly bright
+    yield "chain 6, controls 1, 6", _pair(make_chain(6, "uniform", 0.0, (1, 6)))
+    for lengths, controls in (((3, 3, 3, 2), (3, 8)), ((3,) * 5, (3, 5))):
+        star = make_star(StarDescriptor(lengths), 0.0)
+        yield f"star {lengths} controls {controls}", _pair(replace(star, controls=controls))
+    # a traceless control: the dark x dark anticommutant entries are free
+    yield "traceless control", (np.zeros((4, 4)), np.diag([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_detectors_match_kronecker_oracle():
@@ -52,7 +67,7 @@ def test_detectors_match_kronecker_oracle():
             (want.dimension, want.has_internal_symmetry, want.symmetry_type), label
         nonzero_anticommutants += anti.dimension > 0
         checked += 1
-    assert checked == 231 + 25 + 6 + 13 + 4 + 1
+    assert checked == 231 + 25 + 6 + 13 + 4 + 1 + 4 + 2 + 3 + 1
     # the half-chain family and the two-node pairs exercise the solver
     assert nonzero_anticommutants >= 5
 
@@ -68,6 +83,73 @@ def test_commutant_basis_orthonormal_hermitian():
         assert np.abs(b - b.conj().T).max() < 1e-12
         for h in (h0, h1):
             assert np.abs(h @ b - b @ h).max() < 1e-9
+
+
+def test_parity_systems_keep_the_singular_values():
+    """The symmetric and antisymmetric systems together have the singular
+    values of the d^2-row system over the same unknowns, one column per
+    entry of the support."""
+    rng = np.random.default_rng(2)
+    d = 6
+    for sign in (-1.0, 1.0):
+        for _ in range(5):
+            c = rng.standard_normal((d, d))
+            c += c.T
+            mask = rng.random((d, d)) < 0.4
+            mask |= mask.T
+            rows, cols = np.nonzero(mask)
+            dense = np.zeros((d, d, rows.size))
+            dense[:, cols, np.arange(rows.size)] = c[:, rows]
+            dense[rows, :, np.arange(rows.size)] += sign * c[cols, :]
+            want = np.linalg.svd(dense.reshape(d * d, -1), compute_uv=False)
+            got = []
+            for parity in (1.0, -1.0):
+                upper = rows <= cols if parity > 0 else rows < cols
+                r, s = rows[upper], cols[upper]
+                if not r.size:
+                    continue
+                system = symmetry._parity_system(c, r, s, parity, sign)
+                got.extend(np.linalg.svd(system, compute_uv=False))
+                got.extend([0.0] * (r.size - min(system.shape)))
+            assert np.allclose(np.sort(got), np.sort(want), atol=1e-12)
+
+
+def test_diagonal_commutant_matches_the_general_solver():
+    """On a simple spectrum the commutant takes the diagonal path; the
+    general solver over the same diagonal unknowns spans the same space."""
+    checked = 0
+    for label, (h0, h1) in _detector_fixtures():
+        w, v = np.linalg.eigh(h0)
+        labels = symmetry._group_labels(w, symmetry._DEGENERACY_TOL * symmetry._scale(w))
+        if labels[-1] + 1 < len(w):
+            continue
+        v, b, bright, _ = symmetry._bright_first(v, labels, h1, SYMMETRY_TOL)
+        diagonal = symmetry._diagonal_commutant(v, b.copy(), bright, SYMMETRY_TOL)
+        idx = np.arange(len(w))
+        sym, anti = symmetry._eigenbasis_solutions(v, b.copy(), bright, 0.0, idx, idx, -1.0,
+                                                   0.0, SYMMETRY_TOL)
+        assert len(anti) == 0 and len(diagonal) == len(sym), label
+        got, want = diagonal.reshape(len(sym), -1), sym.reshape(len(sym), -1)
+        assert np.abs(want - (want @ got.T) @ got).max() < 1e-10, label
+        checked += 1
+    assert checked > 250
+
+
+def test_dark_block_stays_out_of_the_solver(monkeypatch):
+    """On the (2,)*11 star the 10-dimensional dark eigenspace is solved in
+    closed form: the solver sees only the two bright directions."""
+    columns = []
+    svd = symmetry._svd
+
+    def spy(a):
+        columns.append(a.shape[1])
+        return svd(a)
+
+    monkeypatch.setattr(symmetry, "_svd", spy)
+    h0, h1 = _pair(make_star(StarDescriptor((2,) * 11), 0.0))
+    assert commutant(h0, h1, SYMMETRY_TOL).dimension == 10 ** 2 + 1
+    assert internal_symmetry(h0, h1, SYMMETRY_TOL).dimension == 0
+    assert columns and max(columns) <= 2
 
 
 def _star_lengths(max_nodes):
