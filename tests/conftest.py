@@ -112,7 +112,7 @@ def kron_commutant(h0, h1, tolerance: float = 1e-9) -> CommutantBasis:
     for col in kron_nullspace(stacked, tolerance).T:
         m = col.reshape(d, d)
         herm.append(0.5 * (m + m.T) + 0.5j * (m - m.T))
-    return CommutantBasis(dimension=len(herm), basis=herm,
+    return CommutantBasis(dimension=len(herm), basis=np.array(herm),
                           has_external_symmetry=len(herm) > 1)
 
 
@@ -130,7 +130,7 @@ def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> AnticommutantResu
     dim = null.shape[1]
     if dim == 0:
         return AnticommutantResult(dimension=0, has_internal_symmetry=False,
-                                   symmetry_type=None)
+                                   symmetry_type=None, basis=np.zeros((0, d, d)))
     sols = [col.reshape(d, d) for col in null.T]
     has_sym = _span_rank([0.5 * (s + s.T) for s in sols], tolerance) > 0
     has_anti = _span_rank([0.5 * (s - s.T) for s in sols], tolerance) > 0
@@ -145,7 +145,7 @@ def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> AnticommutantResu
     stype = ("mixed" if has_sym and has_anti
              else "orthogonal" if has_sym else "symplectic")
     return AnticommutantResult(dimension=dim, has_internal_symmetry=invertible,
-                               symmetry_type=stype, basis=sols)
+                               symmetry_type=stype, basis=np.array(sols))
 
 
 def _span_rank(mats, tolerance: float) -> int:

@@ -123,11 +123,11 @@ def test_diagonal_commutant_matches_the_general_solver():
         labels = symmetry._group_labels(w, symmetry._DEGENERACY_TOL * symmetry._scale(w))
         if labels[-1] + 1 < len(w):
             continue
-        v, b, bright, _ = symmetry._bright_first(v, labels, h1, SYMMETRY_TOL)
+        v, b, bright = symmetry._bright_first(v, labels, h1, SYMMETRY_TOL)
         diagonal = symmetry._diagonal_commutant(v, b.copy(), bright, SYMMETRY_TOL)
         idx = np.arange(len(w))
         sym, anti = symmetry._eigenbasis_solutions(v, b.copy(), bright, 0.0, idx, idx, -1.0,
-                                                   0.0, SYMMETRY_TOL)
+                                                   SYMMETRY_TOL)
         assert len(anti) == 0 and len(diagonal) == len(sym), label
         got, want = diagonal.reshape(len(sym), -1), sym.reshape(len(sym), -1)
         assert np.abs(want - (want @ got.T) @ got).max() < 1e-10, label
