@@ -84,11 +84,28 @@ _INT64_LIMIT = 1 << 63
 
 def is_rational(mat) -> bool:
     """True iff integerize accepts every entry of mat."""
+    return rational_integers(mat) is not None
+
+
+def rational_integers(mat) -> np.ndarray | None:
+    """integerize(mat), or None when an entry is not a finite
+    small-denominator rational (_fraction): one parse answers both. A
+    float64 matrix takes the vectorized path unless its scaled entries
+    leave int64."""
     arr = np.asarray(mat)
     if arr.dtype == np.float64 and arr.size:
         exponents = _denominator_exponents(arr)
-        return exponents is not None and int(exponents.max()) <= _MAX_DENOMINATOR_EXPONENT
-    return all(_fraction(x) is not None for x in arr.astype(object).flat)
+        if exponents is None or int(exponents.max()) > _MAX_DENOMINATOR_EXPONENT:
+            return None
+        out = _dyadic_integers(arr, exponents)
+        if out is not None:
+            return out
+    fracs = [_fraction(x) for x in arr.astype(object).flat]
+    if any(f is None for f in fracs):
+        return None
+    den = math.lcm(*(f.denominator for f in fracs))
+    return _content_reduce(np.array([int(f * den) for f in fracs],
+                                    dtype=object).reshape(arr.shape))
 
 
 def _denominator_exponents(arr: np.ndarray) -> np.ndarray | None:
@@ -105,14 +122,16 @@ def _denominator_exponents(arr: np.ndarray) -> np.ndarray | None:
     return np.where(num == 0, 0, np.maximum(53 - exponent - lowest_bit, 0))
 
 
-def _dyadic_integers(arr: np.ndarray) -> np.ndarray | None:
+def _dyadic_integers(arr: np.ndarray, exponents: np.ndarray | None = None) -> np.ndarray | None:
     """integerize of a float64 array in one vectorized pass: the entries
-    times 2**k, k the largest denominator exponent, divided by their gcd.
-    None when an entry is rejected or the scaled entries leave int64; the
-    per-entry path then decides."""
-    exponents = _denominator_exponents(arr) if arr.size else None
+    times 2**k, k the largest denominator exponent (from `exponents` when
+    the caller has them), divided by their gcd. None when an entry is
+    rejected or the scaled entries leave int64; the per-entry path then
+    decides."""
     if exponents is None:
-        return None
+        exponents = _denominator_exponents(arr) if arr.size else None
+        if exponents is None:
+            return None
     shift = int(exponents.max())
     if shift > _MAX_DENOMINATOR_EXPONENT:
         return None
@@ -151,27 +170,12 @@ def integerize(mat) -> np.ndarray:
 
     Raises ValueError on an entry that is_rational rejects.
     """
-    arr = np.asarray(mat)
-    if arr.dtype == np.float64:
-        out = _dyadic_integers(arr)
-        if out is not None:
-            return out
-    rows = []
-    for row in np.asarray(mat, dtype=object):
-        frow = []
-        for x in row:
-            f = _fraction(x)
-            if f is None:
-                raise ValueError(
-                    "exact mode: entry %r is not a finite small-denominator rational" % (x,))
-            frow.append(f)
-        rows.append(frow)
-    den = 1
-    for row in rows:
-        for f in row:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    out = np.array([[int(f * den) for f in row] for row in rows], dtype=object)
-    return _content_reduce(out)
+    out = rational_integers(mat)
+    if out is None:
+        bad = next(x for x in np.asarray(mat, dtype=object).flat if _fraction(x) is None)
+        raise ValueError(
+            "exact mode: entry %r is not a finite small-denominator rational" % (bad,))
+    return out
 
 
 def _content_reduce(mat: np.ndarray) -> np.ndarray:
@@ -495,7 +499,12 @@ def exact_structure(h0, h1) -> tuple[int, int]:
     column of h0 lies in B: one integer residual per column, and no basis
     of D. Raises ValueError unless h1 is a multiple of e_k e_k^T.
     """
-    h0, h1 = integerize(h0), integerize(h1)
+    return integer_structure(integerize(h0), integerize(h1))
+
+
+def integer_structure(h0: np.ndarray, h1: np.ndarray) -> tuple[int, int]:
+    """exact_structure of h0 and h1 already integerized (rational_integers),
+    with the same ValueError."""
     nonzero = np.argwhere(h1 != 0)
     if len(nonzero) != 1 or nonzero[0, 0] != nonzero[0, 1]:
         raise ValueError("exact_structure needs h1 = e_k e_k^T for one node k")

@@ -3,8 +3,8 @@
 analyze() runs the detectors and the closure over one network and bundles
 the results with consistency flags. The closure follows from the network.
 A single controlled node has dimension n_B^2 - 1 + r, fixed by the bright
-subspace: over Q (_exact.exact_structure) when every entry of h0 and h1 is
-a small-denominator rational (the rule _exact.integerize applies), else
+subspace: over Q (_exact.integer_structure) when every entry of h0 and h1
+is a small-denominator rational (the rule _exact.integerize applies), else
 from the float spectrum (symmetry.bright_structure) when no bright
 eigenspace merges eigenvalues. Any other network is closed, exactly when it
 is rational, so the rank is certified, and in float at the given tolerance
@@ -29,8 +29,8 @@ from .analytic import (bethe_modes, bethe_symmetric_kappas, heisenberg_controlla
 from .hamiltonian import second_excitation_chain, single_excitation
 from .lie import check_tolerance, lie_closure, verdict
 from .network import NetworkSpec, StarDescriptor, make_chain, make_star
-from .symmetry import (DARK_TOL, bright_structure, commutant, dark_states, decompose,
-                       graph_automorphisms, internal_symmetry)
+from .symmetry import (DARK_TOL, Spectrum, bright_structure, commutant, dark_states,
+                       decompose, graph_automorphisms, internal_symmetry)
 
 SYMMETRY_TOL = 1e-9
 # Largest subspace dimension whose closure analyze() runs. The big-integer
@@ -65,13 +65,13 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
 
     A network with one control gets `structure`, the closure dimension
     n_B^2 - 1 + r read off the bright subspace (symmetry.bright_structure,
-    from the eigendecomposition dark_states already made), and its
+    from the spectrum the detectors share), and its
     "exact_bright_dimension", n_B over Q, or None when h0 or h1 is not
     rational; with more controls `structure` is None. The closure then
     comes from the first of four places that applies:
-      - one control and _exact.is_rational accepts both h0 and h1: the
-        exact structure, _exact.exact_structure (mode "exact-structure", a
-        certified dimension, no brackets evaluated);
+      - one control and _exact.rational_integers accepts both h0 and h1:
+        the exact structure of those integer matrices (mode
+        "exact-structure", a certified dimension, no brackets evaluated);
       - one control and a resolved structure (no bright eigenspace merges
         eigenvalues): the float structure itself (mode "structure");
       - rational entries: the exact closure (mode "exact", a certified rank);
@@ -81,9 +81,12 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
     ["dark_states_vs_structure"] compares the dark-state count with
     d - n_B over Q (None without an exact structure). An exact closure
     above d = _EXACT_CLOSURE_CAP or a float one above d = _FLOAT_CLOSURE_CAP
-    is skipped; a dimension taken from a structure never is. timings holds the
-    seconds spent in each stage and each detector. A tolerance that is not
-    finite and positive raises ValueError, also when no float closure runs.
+    is skipped; a dimension taken from a structure never is. h0 is
+    diagonalised once, and its eigenspaces rotated by h1 once
+    (symmetry.Spectrum), for commutant, dark_states and internal_symmetry.
+    timings holds the seconds spent in each stage and each detector, that
+    shared pass under "spectrum". A tolerance that is not finite and
+    positive raises ValueError, also when no float closure runs.
     """
     check_tolerance(tolerance)
     timings = {}
@@ -98,9 +101,11 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
     h0, h1 = sub.h0, sub.h1
     d = sub.dimension
 
-    comm = timed("commutant", commutant, h0, h1, SYMMETRY_TOL)
-    dark = timed("dark_states", dark_states, h0, spec.controls, DARK_TOL)
-    anti = timed("internal_symmetry", internal_symmetry, h0, h1, SYMMETRY_TOL)
+    shared = timed("spectrum", Spectrum.of, h0, h1)
+    comm = timed("commutant", commutant, h0, h1, SYMMETRY_TOL, spectrum=shared)
+    dark = timed("dark_states", dark_states, h0, spec.controls, DARK_TOL, spectrum=shared)
+    anti = timed("internal_symmetry", internal_symmetry, h0, h1, SYMMETRY_TOL,
+                 spectrum=shared)
     autos = timed("automorphisms", graph_automorphisms, spec)
     blocks = timed("decompose", decompose, h0, h1, comm, SYMMETRY_TOL)
     structure = None
@@ -108,11 +113,13 @@ def analyze(spec: NetworkSpec, tolerance: float = 1e-6) -> AnalysisReport:
         structure = timed("structure", bright_structure, dark)
 
     t0 = time.perf_counter()
-    rational = _exact.is_rational(h0) and _exact.is_rational(h1)
+    h0_int = _exact.rational_integers(h0)  # parsed once, for the test and the structure
+    h1_int = None if h0_int is None else _exact.rational_integers(h1)
+    rational = h1_int is not None
     cap = _EXACT_CLOSURE_CAP if rational else _FLOAT_CLOSURE_CAP
     exact = vd = mode = None
     if structure is not None and rational:
-        exact = _ExactStructure(*_exact.exact_structure(h0, h1))
+        exact = _ExactStructure(*_exact.integer_structure(h0_int, h1_int))
         source, mode, evaluated = exact, "exact-structure", 0
     elif structure is not None and structure.resolved:
         source, mode, evaluated = structure, "structure", 0

@@ -10,11 +10,15 @@ Hermitian commutant dimension. The commutant and the anticommutant are
 solved in the eigenbasis of the drift, where it leaves only the entries
 inside eigenspaces (or pairing opposite eigenvalues) free. The entries
 between directions the control does not see are solved in closed form;
-the rest are two dense systems, one per transpose parity.
+the rest are two dense systems, one per transpose parity. One Spectrum (the
+eigendecomposition of the drift and its rotation by the control) serves
+all three eigenbasis detectors, and their solutions stay eigenbasis
+unknowns until a basis is read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +28,126 @@ from .network import NetworkSpec
 
 _DEGENERACY_TOL = 1e-10         # eigenvalue gap, relative, that splits eigenspaces
 DARK_TOL = 1e-8                 # control overlap at or below which a direction is dark
-_MAX_DRAWS = 5                  # generic commutant elements tried by decompose
 _AUTOMORPHISM_NODE_CAP = 1_000_000  # partial assignments before the search gives up
 _WEIGHT_RTOL = 1e-12            # relative gap below which two edge weights are one class
 
 
 class DecompositionError(RuntimeError):
-    """Block refinement failed to reach block-diagonal form."""
+    """The blocks of decompose leave h0 or h1 short of block-diagonal form."""
 
 
 @dataclass
-class CommutantBasis:
-    dimension: int
-    basis: np.ndarray  # (dimension, d, d) Hermitian, orthonormal under Re tr(A^H B)
-    has_external_symmetry: bool
+class Spectrum:
+    """eigh(h0) and its eigenspaces (`labels`, split at gaps above
+    _DEGENERACY_TOL relative to _scale), with a control h1 also the
+    _bright_first rotation of the eigenspaces: made once per network by
+    analyze and shared by the detectors. dark_states reads the unrotated
+    vectors."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    labels: np.ndarray
+    rotation: tuple | None = None
+
+    @classmethod
+    def of(cls, h0: np.ndarray, h1: np.ndarray | None = None) -> Spectrum:
+        w, v = np.linalg.eigh(h0)
+        labels = _group_labels(w, _DEGENERACY_TOL * _scale(w))
+        return cls(w, v, labels, None if h1 is None else _bright_first(v.copy(), labels, h1))
+
+
+@dataclass
+class _Unknowns:
+    """Real matrices X'_k of one transpose parity: unknown entries (r, s),
+    r <= s, and coefficients over them (see _parity_matrices). Each of the
+    first `free` unknowns is a solution of its own, then each column of
+    null gives one over the others. `diagonal`: the simple-spectrum
+    commutant, whose stack is (v * x) v^T."""
+
+    r: np.ndarray
+    s: np.ndarray
+    free: int
+    null: np.ndarray
+    parity: float
+    diagonal: bool = False
+
+    def __len__(self) -> int:
+        return self.free + self.null.shape[1]
+
+    def coefficients(self) -> np.ndarray:
+        """(unknowns, len): the coefficients of every solution."""
+        c = np.zeros((self.r.size, len(self)))
+        c[np.arange(self.free), np.arange(self.free)] = 1.0
+        c[self.free:, self.free:] = self.null
+        return c
+
+    def stack(self, v: np.ndarray) -> np.ndarray:
+        """The solutions v X'_k v^T, (len, d, d)."""
+        if self.diagonal:
+            x = np.zeros((len(self), len(v)))
+            x[:, self.r] = self.coefficients().T
+            return (v * x[:, None, :]) @ v.T
+        return v @ _parity_matrices(len(v), self.r, self.s, self.coefficients(),
+                                    self.parity) @ v.T
+
+    def combination(self, d: int, coeff: np.ndarray) -> np.ndarray:
+        """sum_k coeff[k] X'_k as one d x d matrix."""
+        weights = np.concatenate([coeff[:self.free], self.null @ coeff[self.free:]])
+        return _parity_matrices(d, self.r, self.s, weights[:, None], self.parity)[0]
+
+
+def _no_unknowns(parity: float) -> _Unknowns:
+    empty = np.zeros(0, dtype=np.intp)
+    return _Unknowns(empty, empty, 0, np.zeros((0, 0)), parity)
+
+
+@dataclass
+class _EigenbasisSolutions:
+    """Solutions v X' v^T kept as eigenbasis unknowns, v the rotated
+    eigenvectors of h0: the symmetric ones, then the antisymmetric ones
+    times `_unit`. `basis` writes them out, (dimension, d, d), on first
+    read."""
+
+    vectors: np.ndarray
+    symmetric: _Unknowns
+    antisymmetric: _Unknowns
+
+    @property
+    def dimension(self) -> int:
+        return len(self.symmetric) + len(self.antisymmetric)
+
+    def element(self, coeff: np.ndarray) -> np.ndarray:
+        """X' with sum_k coeff[k] basis[k] = v X' v^T, without the basis;
+        real when there are no antisymmetric solutions."""
+        d, n = len(self.vectors), len(self.symmetric)
+        x = self.symmetric.combination(d, coeff[:n])
+        if len(self.antisymmetric):
+            x = x + self._unit * self.antisymmetric.combination(d, coeff[n:])
+        return x
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        sym = self.symmetric.stack(self.vectors)
+        out = np.zeros((self.dimension,) + self.vectors.shape, dtype=type(self._unit))
+        out[:len(sym)] = sym
+        (out.imag if self._unit == 1j else out)[len(sym):] = \
+            self.antisymmetric.stack(self.vectors)
+        return out
+
+
+@dataclass
+class CommutantBasis(_EigenbasisSolutions):
+    """Hermitian matrices commuting with h0 and h1: S and iA for the real
+    symmetric and antisymmetric solutions, each X' block diagonal over the
+    eigenspaces `labels` of h0. The basis is orthonormal under
+    Re tr(A^H B)."""
+
+    labels: np.ndarray
+    _unit = 1j
+
+    @property
+    def has_external_symmetry(self) -> bool:
+        return self.dimension > 1
 
 
 @dataclass
@@ -84,11 +194,20 @@ class BrightStructure:
 
 
 @dataclass
-class AnticommutantResult:
-    dimension: int
-    has_internal_symmetry: bool
-    symmetry_type: str | None  # "orthogonal", "symplectic", "mixed", or None
-    basis: np.ndarray  # (dimension, d, d) real
+class AnticommutantResult(_EigenbasisSolutions):
+    """Real solutions of the anticommutation condition of internal_symmetry."""
+
+    has_internal_symmetry: bool = False
+    _unit = 1.0
+
+    @property
+    def symmetry_type(self) -> str | None:
+        """"orthogonal", "symplectic", "mixed", or None."""
+        if not self.dimension:
+            return None
+        if len(self.symmetric) and len(self.antisymmetric):
+            return "mixed"
+        return "orthogonal" if len(self.symmetric) else "symplectic"
 
 
 @dataclass
@@ -110,7 +229,8 @@ class DecompositionReport:
     block_projectors: list[np.ndarray]     # orthonormal column bases, same order
 
 
-def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> CommutantBasis:
+def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9,
+              spectrum: Spectrum | None = None) -> CommutantBasis:
     """Hermitian matrices commuting with both h0 and h1.
 
     In the eigenbasis V of h0 a real M commutes with h0 iff M' = V^T M V
@@ -122,36 +242,36 @@ def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9) -> Commut
     columns of V^T h1 V, whose singular values are those of h1 V_g. Only the
     bright x bright entries reach the solver. A symmetric solution S and an
     antisymmetric one A are the Hermitian S and iA; both maps are
-    isometries, so the basis stays orthonormal.
+    isometries, so the basis stays orthonormal. A given `spectrum`
+    (Spectrum.of(h0, h1)) is reused, not recomputed.
     """
-    w, v = np.linalg.eigh(h0)
-    labels = _group_labels(w, _DEGENERACY_TOL * _scale(w))
-    v, b, bright = _bright_first(v, labels, h1, tolerance)
+    spec = spectrum or Spectrum.of(h0, h1)
+    v, b, bright = _bright_mask(spec.rotation, tolerance)
+    labels = spec.labels
     if labels[-1] + 1 == len(labels):
-        sym, anti = _diagonal_commutant(v, b, bright, tolerance), np.zeros((0,) + h0.shape)
+        sym, anti = _diagonal_commutant(b, bright, tolerance), _no_unknowns(-1.0)
     else:
         rows, cols = _upper_pairs(labels[:, None] == labels)
-        sym, anti = _eigenbasis_solutions(v, b, bright, 0.0, rows, cols, -1.0, tolerance)
-    herm = np.zeros((len(sym) + len(anti),) + h0.shape, dtype=complex)
-    herm.real[:len(sym)] = sym
-    herm.imag[len(sym):] = anti
-    return CommutantBasis(dimension=len(herm), basis=herm,
-                          has_external_symmetry=len(herm) > 1)
+        sym, anti = _eigenbasis_solutions(b, bright, 0.0, rows, cols, -1.0, tolerance)
+    return CommutantBasis(v, sym, anti, labels)
 
 
-def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL) -> DarkStateSet:
+def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL,
+                spectrum: Spectrum | None = None) -> DarkStateSet:
     """Intersect each eigenspace of h0 with {v : v_k = 0 for k in controls}.
 
     Eigenvalues are grouped into eigenspaces when gaps fall below
     _DEGENERACY_TOL relative to the spectral scale; within each group the
     dark directions are the null vectors of the control-row block. The
     spectrum, the grouping and each group's control overlap are kept, so
-    bright_structure needs no second eigendecomposition.
+    bright_structure needs no second eigendecomposition. A given `spectrum`
+    (Spectrum.of(h0, ...)) is reused; its unrotated vectors are read.
     """
     d = h0.shape[0]
     ctrl = sorted(int(k) - 1 for k in controls)
-    w, v = np.linalg.eigh(h0)
-    groups = _eigen_groups(w, _DEGENERACY_TOL * _scale(w))
+    spec = spectrum or Spectrum.of(h0)
+    w, v = spec.values, spec.vectors
+    groups = _ranges(spec.labels)
     overlaps = np.zeros(len(groups))
     vecs = []
     vals = []
@@ -180,8 +300,9 @@ def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL) -> DarkSt
 
 def bright_structure(dark: DarkStateSet) -> BrightStructure:
     """Dimension of the Lie closure of {i h0, i h1}, h1 = e_k e_k^T for the
-    one controlled node k, from `dark` = dark_states(h0, (k,)): its
-    eigendecomposition and grouping are reused, not recomputed.
+    one controlled node k, from `dark` = dark_states(h0, (k,)): the
+    spectrum and grouping of its one eigendecomposition of h0 (the one
+    analyze shares among the detectors) are reused, not recomputed.
 
     An eigenspace with projector P_j is bright when its control overlap
     |P_j e_k| exceeds DARK_TOL (the rule dark_states applies to its one-row
@@ -255,55 +376,47 @@ def bright_structure(dark: DarkStateSet) -> BrightStructure:
         max_merged_gap=float(steps[~split].max()) / scale if (~split).any() else None)
 
 
-def internal_symmetry(h0: np.ndarray, h1: np.ndarray,
-                      tolerance: float = 1e-9) -> AnticommutantResult:
+def internal_symmetry(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9,
+                      spectrum: Spectrum | None = None) -> AnticommutantResult:
     """Solutions of Hb^T S + S Hb = 0 for the traceless shifts of h0 and h1.
 
     Solved over real S (the Hamiltonians are real symmetric, so the real and
     imaginary parts of any complex solution solve separately). In the
-    eigenbasis V of Hb0, S' = V^T S V may be nonzero only at the entries
-    (i, j) with lambda_i + lambda_j = 0 (within the eigenvalue gap of
-    dark_states); those unknowns are constrained by the Hb1 anticommutator
-    and each solution maps back as V S' V^T. With V rotated as in commutant,
-    V^T Hb1 V is -tau on the diagonal of a dark direction and zero elsewhere
-    in its row (tau = tr h1 / d), so a dark x dark unknown meets only its own
-    equation, with coefficient -2 tau: it vanishes unless tau does. The
-    symmetric solutions signal orthogonal type, the antisymmetric ones
-    symplectic; an internal symmetry needs an invertible solution.
+    eigenbasis V of Hb0 (that of h0) S' = V^T S V may be nonzero only at the
+    entries (i, j) with lambda_i + lambda_j = 0, with the eigenvalues of
+    Hb0 grouped at their own gap; those unknowns are constrained by the Hb1
+    anticommutator and each solution maps back as V S' V^T. With V rotated
+    as in commutant (the rotation of `spectrum` when the two groupings
+    agree), V^T Hb1 V is -tau on the diagonal of a dark direction and zero
+    elsewhere in its row (tau = tr h1 / d), so a dark x dark unknown meets
+    only its own equation, with coefficient -2 tau: it vanishes unless tau
+    does. The symmetric solutions signal orthogonal type, the antisymmetric
+    ones symplectic; an internal symmetry needs an invertible solution.
     """
     d = h0.shape[0]
-    w, v = np.linalg.eigh(h0)
-    w -= np.trace(h0) / d  # the spectrum of Hb0, whose eigenvectors these are
+    spec = spectrum or Spectrum.of(h0)
+    w = spec.values - np.trace(h0) / d  # the spectrum of Hb0
     gap = _DEGENERACY_TOL * _scale(w)
     labels = _group_labels(w, gap)
     w = (np.bincount(labels, w) / np.bincount(labels))[labels]  # pair whole eigenspaces
     rows, cols = _upper_pairs(np.abs(w[:, None] + w) <= gap)
-    dim = 0
+    v, sym, anti = spec.vectors, _no_unknowns(1.0), _no_unknowns(-1.0)
     if rows.size:
-        v, b, bright = _bright_first(v, labels, h1, tolerance)
-        sym, anti = _eigenbasis_solutions(v, b, bright, np.trace(h1) / d, rows, cols, 1.0,
+        shared = spec.rotation is not None and np.array_equal(labels, spec.labels)
+        rotation = spec.rotation if shared else _bright_first(spec.vectors.copy(), labels, h1)
+        v, b, bright = _bright_mask(rotation, tolerance)
+        sym, anti = _eigenbasis_solutions(b, bright, np.trace(h1) / d, rows, cols, 1.0,
                                           tolerance)
-        dim = len(sym) + len(anti)
-    if dim == 0:
-        return AnticommutantResult(dimension=0, has_internal_symmetry=False,
-                                   symmetry_type=None, basis=np.zeros((0, d, d)))
-    sols = np.concatenate([sym, anti])
-    invertible = False
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        cand = np.tensordot(rng.standard_normal(dim), sols, 1)
-        smin = np.linalg.svd(cand, compute_uv=False)[-1]
-        if smin > tolerance * max(1.0, np.abs(cand).max()):
-            invertible = True
-            break
-    if len(sym) and len(anti):
-        stype = "mixed"
-    elif len(sym):
-        stype = "orthogonal"
-    else:
-        stype = "symplectic"
-    return AnticommutantResult(dimension=dim, has_internal_symmetry=invertible,
-                               symmetry_type=stype, basis=sols)
+    out = AnticommutantResult(v, sym, anti)
+    if out.dimension:
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            cand = v @ out.element(rng.standard_normal(out.dimension)) @ v.T
+            smin = np.linalg.svd(cand, compute_uv=False)[-1]
+            if smin > tolerance * max(1.0, np.abs(cand).max()):
+                out.has_internal_symmetry = True
+                break
+    return out
 
 
 def certify_internal_symmetry(s, h0: np.ndarray,
@@ -359,54 +472,53 @@ def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
     partial assignments in all and raise beyond that.
     """
     n = spec.node_count
-    weights = {}
-    for m, q, g in spec.edges:
-        weights[(m, q)] = g
-        weights[(q, m)] = g
+    nodes = range(1, n + 1)
     adj = spec.adjacency()
+    wclasses = _weight_classes(sorted({g for _, _, g in spec.edges}))
+    # per node (index 0 unused), its neighbours and the weight class of each edge
+    links = [{}] + [{w: wclasses[g] for w, g in adj[v]} for v in nodes]
     controls = set(spec.controls)
 
-    wclasses = _weight_classes(sorted({g for _, _, g in spec.edges}))
-    color = {v: (v in controls, len(adj[v]),
-                 tuple(sorted(wclasses[g] for _, g in adj[v]))) for v in range(1, n + 1)}
+    pairs = [list(at.items()) for at in links]
+    color = [None] + [(v in controls, len(links[v]), tuple(sorted(links[v].values())))
+                      for v in nodes]
+    count = len(set(color[1:]))
     for _ in range(n):
-        newcolor = {}
-        for v in range(1, n + 1):
-            profile = tuple(sorted((color[w], wclasses[g]) for w, g in adj[v]))
-            newcolor[v] = (color[v], profile)
-        ranks = {c: i for i, c in enumerate(sorted(set(newcolor.values()), key=repr))}
-        relabeled = {v: ranks[newcolor[v]] for v in range(1, n + 1)}
-        if len(set(relabeled.values())) == len(set(color.values())):
-            color = relabeled
+        newcolor = []
+        for v in nodes:
+            profile = [(color[w], c) for w, c in pairs[v]]
+            profile.sort()
+            newcolor.append((color[v], tuple(profile)))
+        ranks = {c: i for i, c in enumerate(sorted(set(newcolor), key=repr))}
+        color = [None] + [ranks[c] for c in newcolor]
+        if len(ranks) == count:
             break
-        color = relabeled
+        count = len(ranks)
 
-    base = sorted(range(1, n + 1), key=lambda v: (color[v], v))
+    base = sorted(nodes, key=lambda v: (color[v], v))
     # the images fits can accept for v: the nodes of its color, ascending
     same_color: dict = {}
-    for v in range(1, n + 1):
+    for v in nodes:
         same_color.setdefault(color[v], []).append(v)
     generators: list[tuple[int, ...]] = []
     group_order = 1
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    mapping = [0] * (n + 1)  # image of each node, 0 while unassigned
+    used = [False] * (n + 1)
     visited = 0
 
-    def fits(v: int, img: int) -> bool:
-        if img in used or color[img] != color[v]:
+    def fits(v: int, img: int) -> bool:  # img has v's color
+        """img is free, every assigned neighbour of v maps to a neighbour of
+        img by an edge of its weight class, and img has no others."""
+        if used[img]:
             return False
-        for w, g in adj[v]:
-            if w in mapping:
-                gw = weights.get((img, mapping[w]))
-                if gw is None or wclasses[gw] != wclasses[g]:
+        at_img = links[img]
+        mapped = 0
+        for w, c in pairs[v]:
+            if mapping[w]:
+                if at_img.get(mapping[w]) != c:
                     return False
-        deg_mapped = sum(1 for w, _ in adj[v] if w in mapping)
-        deg_img_mapped = sum(1 for w, _ in adj[img] if w in used)
-        return deg_mapped == deg_img_mapped
-
-    def assign(v: int, img: int) -> None:
-        mapping[v] = img
-        used.add(img)
+                mapped += 1
+        return mapped == sum(used[w] for w in at_img)
 
     def extend(pos: int) -> bool:
         """Complete the mapping from base[pos] on; True once it is full."""
@@ -420,11 +532,10 @@ def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
         v = base[pos]
         for img in same_color[color[v]]:
             if fits(v, img):
-                assign(v, img)
+                mapping[v], used[img] = img, True
                 if extend(pos + 1):
                     return True
-                used.discard(img)
-                del mapping[v]
+                mapping[v], used[img] = 0, False
         return False
 
     try:
@@ -434,14 +545,14 @@ def graph_automorphisms(spec: NetworkSpec) -> AutomorphismGenerators:
             for c in base[i + 1:]:
                 if c in orbit or color[c] != color[b]:
                     continue
-                mapping.clear()
-                used.clear()
+                mapping[:] = [0] * (n + 1)
+                used[:] = [False] * (n + 1)
                 for v in base[:i]:
-                    assign(v, v)
+                    mapping[v], used[v] = v, True
                 if fits(b, c):
-                    assign(b, c)
+                    mapping[b], used[c] = c, True
                     if extend(i + 1):
-                        generators.append(tuple(mapping[v] for v in range(1, n + 1)))
+                        generators.append(tuple(mapping[1:]))
                         orbit = _orbit(b, generators)
             group_order *= len(orbit)
     finally:
@@ -463,40 +574,39 @@ def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
 
 def decompose(h0: np.ndarray, h1: np.ndarray, comm: CommutantBasis,
               tolerance: float = 1e-9, seed: int = 0) -> DecompositionReport:
-    """Invariant blocks from eigenspaces of generic commutant elements.
+    """Invariant blocks from the eigenspaces of a generic commutant element.
 
-    Eigenspaces of any commutant element are invariant under h0 and h1, so a
-    random-coefficient element splits the space; further generic draws refine
-    the partition until both Hamiltonians are block-diagonal to tolerance.
+    Eigenspaces of any commutant element, and unions of them, are invariant
+    under h0 and h1, so one random-coefficient element splits the space;
+    eigenvalues within 1e-6 of its scale are one block. The element is built
+    from comm's eigenbasis unknowns as v X' v^T with X' block diagonal over
+    the eigenspaces of h0, so its eigenvectors come from one eigh per
+    eigenspace. A block with an entry of h0 or h1 outside it beyond
+    tolerance raises DecompositionError: a second element could only split
+    the blocks further, which removes no such entry.
     """
     d = h0.shape[0]
     if comm.dimension <= 1:
         return DecompositionReport(block_sizes=(d,), block_projectors=[np.eye(d)])
-    rng = np.random.default_rng(seed)
-    projectors = [np.eye(d)]
-    scale = max(1.0, np.abs(h0).max(), np.abs(h1).max())
-    history = []
-    for _ in range(_MAX_DRAWS):
-        coeff = rng.standard_normal(comm.dimension)
-        coeff /= np.linalg.norm(coeff)
-        generic = np.tensordot(coeff, comm.basis, 1)
-        refined = []
-        for basis_cols in projectors:
-            sub = basis_cols.conj().T @ generic @ basis_cols
-            w, v = np.linalg.eigh(sub)
-            for lo, hi in _eigen_groups(w, 1e-6 * _scale(w)):
-                refined.append(basis_cols @ v[:, lo:hi])
-        projectors = refined
-        worst = _off_block_residual((h0, h1), projectors)
-        history.append(worst)
-        if worst <= tolerance * scale:
-            ordered = sorted(projectors, key=lambda p: p.shape[1])
-            return DecompositionReport(
-                block_sizes=tuple(p.shape[1] for p in ordered),
-                block_projectors=ordered)
-    raise DecompositionError(
-        f"block refinement stalled after {_MAX_DRAWS} draws; "
-        f"off-block residuals {history}")
+    coeff = np.random.default_rng(seed).standard_normal(comm.dimension)
+    x = comm.element(coeff / np.linalg.norm(coeff))
+    v, labels = comm.vectors, comm.labels
+    w = x.diagonal().real.copy()
+    vecs = v.astype(x.dtype)
+    for g in np.flatnonzero(np.bincount(labels) > 1):
+        cols = np.flatnonzero(labels == g)
+        w[cols], u = np.linalg.eigh(x[np.ix_(cols, cols)])
+        vecs[:, cols] = v[:, cols] @ u
+    order = np.argsort(w, kind="stable")
+    w, vecs = w[order], vecs[:, order]
+    projectors = [vecs[:, lo:hi] for lo, hi in _ranges(_group_labels(w, 1e-6 * _scale(w)))]
+    worst = _off_block_residual((h0, h1), projectors)
+    if worst > tolerance * max(1.0, np.abs(h0).max(), np.abs(h1).max()):
+        raise DecompositionError(f"eigenspaces of a generic commutant element are not "
+                                 f"invariant: off-block residual {worst}")
+    ordered = sorted(projectors, key=lambda p: p.shape[1])
+    return DecompositionReport(block_sizes=tuple(p.shape[1] for p in ordered),
+                               block_projectors=ordered)
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,16 +621,13 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vt
 
 
-def _bright_first(v: np.ndarray, labels: np.ndarray, h: np.ndarray, tolerance: float):
+def _bright_first(v: np.ndarray, labels: np.ndarray, h: np.ndarray):
     """Rotate each eigenspace (the columns of v with one label) by the right
     singular vectors of h V_g, so that its directions come in descending
     |h v|; a singleton keeps its column and reads |h v| as a column norm.
-    A direction is bright when |h v| exceeds tolerance relative to the
-    largest (at least 1), and dark otherwise.
 
-    Returns the rotated v, b = v^T h v with the rows and columns of the dark
-    directions set to zero, and the bright mask. The columns of b in one
-    eigenspace are then orthogonal, with norms |h v|.
+    Returns the rotated v, b = v^T h v and sigma = |h v| per column. The
+    columns of b in one eigenspace are then orthogonal, with norms sigma.
     """
     hv = h @ v
     sigma = np.sqrt(np.einsum("ij,ij->j", hv, hv))
@@ -530,23 +637,30 @@ def _bright_first(v: np.ndarray, labels: np.ndarray, h: np.ndarray, tolerance: f
             _, sigma[cols], vt = np.linalg.svd(hv[:, cols], full_matrices=False)
             v[:, cols] = v[:, cols] @ vt.T
             hv[:, cols] = hv[:, cols] @ vt.T
+    return v, v.T @ hv, sigma
+
+
+def _bright_mask(rotation, tolerance: float):
+    """(v, b, bright) from a _bright_first rotation: a direction is bright
+    when |h v| exceeds tolerance relative to the largest (at least 1), and
+    the rows and columns of b at the dark ones are set to zero, in a copy
+    of b that the caller owns."""
+    v, b, sigma = rotation
     bright = sigma > tolerance * max(1.0, sigma.max())
-    b = v.T @ hv
+    b = b.copy()
     if not bright.all():
         b[~bright] = 0.0
         b[:, ~bright] = 0.0
     return v, b, bright
 
 
-def _diagonal_commutant(v: np.ndarray, b: np.ndarray, bright: np.ndarray,
-                        tolerance: float) -> np.ndarray:
+def _diagonal_commutant(b: np.ndarray, bright: np.ndarray, tolerance: float) -> _Unknowns:
     """The commutant solutions of _eigenbasis_solutions for a simple
     spectrum, built on the triangle directly: X' is diagonal, each dark
     direction is a free element, and on the bright ones [b, X'] has the rows
-    sqrt(2) b[p, q] (x_q - x_p), p < q. Returned as the stack v X' v^T.
-    It takes about half the time of the general solver on the same unknowns
-    (0.82 against 1.45 ms summed over the six simple spectra of the analyze
-    workload, 2 vCPUs, numpy 2.4.6)."""
+    sqrt(2) b[p, q] (x_q - x_p), p < q. It takes about half the time of the
+    general solver on the same unknowns (0.82 against 1.45 ms summed over
+    the six simple spectra of the analyze workload, 2 vCPUs, numpy 2.4.6)."""
     lit = np.flatnonzero(bright)
     dark = np.flatnonzero(~bright)
     p, q = np.nonzero(lit[:, None] < lit)
@@ -555,11 +669,9 @@ def _diagonal_commutant(v: np.ndarray, b: np.ndarray, bright: np.ndarray,
     system[row, q] = np.sqrt(2.0) * b[lit[p], lit[q]]
     system[row, p] = -system[row, q]
     s_vals, vt = _svd(system)
-    null = vt[np.sum(s_vals > tolerance * max(1.0, s_vals.max(initial=0.0))):]
-    x = np.zeros((dark.size + len(null), len(b)))
-    x[np.arange(dark.size), dark] = 1.0
-    x[dark.size:, lit] = null
-    return (v * x[:, None, :]) @ v.T
+    null = vt[np.sum(s_vals > tolerance * max(1.0, s_vals.max(initial=0.0))):].T
+    both = np.concatenate([dark, lit])
+    return _Unknowns(both, both, dark.size, null, 1.0, diagonal=True)
 
 
 def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,14 +681,14 @@ def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[upper], cols[upper]
 
 
-def _eigenbasis_solutions(v: np.ndarray, b: np.ndarray, bright: np.ndarray, shift: float,
+def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
                           rows: np.ndarray, cols: np.ndarray, sign: float,
-                          tolerance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real X with c X' + sign X' c = 0, c = b - shift I for b from
-    _bright_first, where X' = v^T X v is zero outside the unknown entries
-    (rows[k], cols[k]) and their transposes (rows <= cols). Returned as two
-    stacks of v X' v^T, the symmetric solutions and the antisymmetric ones,
-    each orthonormal in Frobenius norm.
+                          tolerance: float) -> tuple[_Unknowns, _Unknowns]:
+    """Real X' with c X' + sign X' c = 0, c = b - shift I for b from
+    _bright_mask, where X' is zero outside the unknown entries (rows[k],
+    cols[k]) and their transposes (rows <= cols). Returned as the unknowns
+    of the symmetric solutions and of the antisymmetric ones, each
+    orthonormal in Frobenius norm.
 
     c is symmetric, so [c, .] and {c, .} map each transpose parity of X' to
     a fixed parity: the two parities are two systems (see _parity_system)
@@ -629,11 +741,8 @@ def _eigenbasis_solutions(v: np.ndarray, b: np.ndarray, bright: np.ndarray, shif
         if parity < 0 and free[0].size:
             off = free[0] < free[1]
             free = free[0][off], free[1][off]
-        null = vt[np.sum(s_vals > threshold):].T
-        if free[0].size or null.size:
-            out.append(v @ _parity_matrices(d, *free, r, s, null, parity) @ v.T)
-        else:
-            out.append(np.zeros((0, d, d)))
+        out.append(_Unknowns(np.concatenate([free[0], r]), np.concatenate([free[1], s]),
+                             free[0].size, vt[np.sum(s_vals > threshold):].T, parity))
     return out[0], out[1]
 
 
@@ -658,23 +767,16 @@ def _parity_system(c: np.ndarray, r: np.ndarray, s: np.ndarray, parity: np.ndarr
     return image[idx[:, None] <= idx] * np.sqrt(2.0)
 
 
-def _parity_matrices(n: int, free_r: np.ndarray, free_s: np.ndarray, r: np.ndarray,
-                     s: np.ndarray, coeff: np.ndarray, parity: float) -> np.ndarray:
-    """Stack of n x n matrices: one E_k per free unknown (free_r, free_s),
-    then sum_k coeff[k, i] E_k over the unknowns (r, s) for each column i of
-    coeff. E_k = a_k (e_r e_s^T + parity e_s e_r^T), a_k = 1/sqrt(2) off the
-    diagonal and 1/2 on it."""
-    m = free_r.size
-    out = np.zeros((m + coeff.shape[1], n, n))
-    if m:
-        k = np.arange(m)
-        a = np.where(free_r == free_s, 0.5, np.sqrt(0.5))
-        out[k, free_r, free_s] = a
-        out[k, free_s, free_r] += parity * a
+def _parity_matrices(n: int, r: np.ndarray, s: np.ndarray, coeff: np.ndarray,
+                     parity: float) -> np.ndarray:
+    """Stack of n x n matrices, sum_k coeff[k, i] E_k over the unknowns
+    (r, s) for each column i of coeff. E_k = a_k (e_r e_s^T + parity e_s
+    e_r^T), a_k = 1/sqrt(2) off the diagonal and 1/2 on it."""
+    out = np.zeros((coeff.shape[1], n, n))
     if coeff.size:
         scaled = (np.where(r == s, 0.5, np.sqrt(0.5))[:, None] * coeff).T
-        out[m:, r, s] = scaled
-        out[m:, s, r] += parity * scaled
+        out[:, r, s] = scaled
+        out[:, s, r] += parity * scaled
     return out
 
 
@@ -692,11 +794,8 @@ def _group_labels(w: np.ndarray, gap: float) -> np.ndarray:
     return labels
 
 
-def _eigen_groups(w: np.ndarray, gap: float):
+def _ranges(labels: np.ndarray):
     """The clusters of _group_labels as index ranges [lo, hi)."""
-    if not len(w):
-        return []
-    labels = _group_labels(w, gap)
     edges = np.searchsorted(labels, np.arange(labels[-1] + 2)).tolist()
     return list(zip(edges[:-1], edges[1:]))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -40,7 +41,9 @@ import pytest
 from spinctrl import _exact
 from spinctrl.analytic import VERIFY_TOL, control_site_residual
 from spinctrl.lie import _DEFER_THRESHOLD, LieClosureResult
-from spinctrl.symmetry import AnticommutantResult, CommutantBasis, _weight_classes
+from spinctrl.symmetry import (_AUTOMORPHISM_NODE_CAP, _DEGENERACY_TOL,
+                               _group_labels, _off_block_residual, _orbit,
+                               _parity_system, _scale, _svd, _upper_pairs, _weight_classes)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -102,7 +105,25 @@ def kron_nullspace(a: np.ndarray, tolerance: float) -> np.ndarray:
     return vt[rank:].T.conj() if rank < cols else np.zeros((cols, 0))
 
 
-def kron_commutant(h0, h1, tolerance: float = 1e-9) -> CommutantBasis:
+@dataclass
+class EagerCommutant:
+    """A commutant with its basis written out, as spinctrl.CommutantBasis
+    held it before it kept eigenbasis unknowns."""
+
+    dimension: int
+    basis: np.ndarray  # (dimension, d, d) Hermitian
+    has_external_symmetry: bool
+
+
+@dataclass
+class EagerAnticommutant:
+    dimension: int
+    has_internal_symmetry: bool
+    symmetry_type: str | None
+    basis: np.ndarray  # (dimension, d, d) real
+
+
+def kron_commutant(h0, h1, tolerance: float = 1e-9) -> EagerCommutant:
     """Real nullspace of M -> ([h0, M], [h1, M]) as a (2d^2) x (d^2) system,
     mapped to Hermitian matrices by sym(M) + i antisym(M)."""
     d = h0.shape[0]
@@ -112,11 +133,11 @@ def kron_commutant(h0, h1, tolerance: float = 1e-9) -> CommutantBasis:
     for col in kron_nullspace(stacked, tolerance).T:
         m = col.reshape(d, d)
         herm.append(0.5 * (m + m.T) + 0.5j * (m - m.T))
-    return CommutantBasis(dimension=len(herm), basis=np.array(herm),
+    return EagerCommutant(dimension=len(herm), basis=np.array(herm),
                           has_external_symmetry=len(herm) > 1)
 
 
-def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> AnticommutantResult:
+def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> EagerAnticommutant:
     """Real nullspace of S -> (Hb S + S Hb) for both traceless shifts as a
     (2d^2) x (d^2) system, with the parity test and invertibility draws of
     spinctrl.internal_symmetry."""
@@ -129,8 +150,8 @@ def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> AnticommutantResu
     null = kron_nullspace(np.vstack(blocks), tolerance)
     dim = null.shape[1]
     if dim == 0:
-        return AnticommutantResult(dimension=0, has_internal_symmetry=False,
-                                   symmetry_type=None, basis=np.zeros((0, d, d)))
+        return EagerAnticommutant(dimension=0, has_internal_symmetry=False,
+                                  symmetry_type=None, basis=np.zeros((0, d, d)))
     sols = [col.reshape(d, d) for col in null.T]
     has_sym = _span_rank([0.5 * (s + s.T) for s in sols], tolerance) > 0
     has_anti = _span_rank([0.5 * (s - s.T) for s in sols], tolerance) > 0
@@ -144,13 +165,277 @@ def kron_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> AnticommutantResu
             break
     stype = ("mixed" if has_sym and has_anti
              else "orthogonal" if has_sym else "symplectic")
-    return AnticommutantResult(dimension=dim, has_internal_symmetry=invertible,
-                               symmetry_type=stype, basis=np.array(sols))
+    return EagerAnticommutant(dimension=dim, has_internal_symmetry=invertible,
+                              symmetry_type=stype, basis=np.array(sols))
 
 
 def _span_rank(mats, tolerance: float) -> int:
     s = np.linalg.svd(np.array([m.ravel() for m in mats]), compute_uv=False)
     return int(np.sum(s > tolerance * max(s.max(), 1.0)))
+
+
+# ---- the eigenbasis detectors as they ran with an eager basis --------------
+# eager_commutant, eager_internal_symmetry and full_stack_decompose are frozen
+# copies of the detectors from before they kept eigenbasis unknowns: each
+# solution written out as v X' v^T, and decompose drawing from the whole
+# stack. The lazy basis must equal theirs bit for bit, and decompose must
+# find the same blocks.
+
+def _eager_bright_first(v, labels, h, tolerance):
+    hv = h @ v
+    sigma = np.sqrt(np.einsum("ij,ij->j", hv, hv))
+    if labels[-1] + 1 < len(labels):
+        for g in np.flatnonzero(np.bincount(labels) > 1):
+            cols = np.flatnonzero(labels == g)
+            _, sigma[cols], vt = np.linalg.svd(hv[:, cols], full_matrices=False)
+            v[:, cols] = v[:, cols] @ vt.T
+            hv[:, cols] = hv[:, cols] @ vt.T
+    bright = sigma > tolerance * max(1.0, sigma.max())
+    b = v.T @ hv
+    if not bright.all():
+        b[~bright] = 0.0
+        b[:, ~bright] = 0.0
+    return v, b, bright
+
+
+def _eager_diagonal_commutant(v, b, bright, tolerance):
+    lit = np.flatnonzero(bright)
+    dark = np.flatnonzero(~bright)
+    p, q = np.nonzero(lit[:, None] < lit)
+    row = np.arange(p.size)
+    system = np.zeros((p.size, lit.size))
+    system[row, q] = np.sqrt(2.0) * b[lit[p], lit[q]]
+    system[row, p] = -system[row, q]
+    s_vals, vt = _svd(system)
+    null = vt[np.sum(s_vals > tolerance * max(1.0, s_vals.max(initial=0.0))):]
+    x = np.zeros((dark.size + len(null), len(b)))
+    x[np.arange(dark.size), dark] = 1.0
+    x[dark.size:, lit] = null
+    return (v * x[:, None, :]) @ v.T
+
+
+def _eager_parity_matrices(n, free_r, free_s, r, s, coeff, parity):
+    m = free_r.size
+    out = np.zeros((m + coeff.shape[1], n, n))
+    if m:
+        k = np.arange(m)
+        a = np.where(free_r == free_s, 0.5, np.sqrt(0.5))
+        out[k, free_r, free_s] = a
+        out[k, free_s, free_r] += parity * a
+    if coeff.size:
+        scaled = (np.where(r == s, 0.5, np.sqrt(0.5))[:, None] * coeff).T
+        out[m:, r, s] = scaled
+        out[m:, s, r] += parity * scaled
+    return out
+
+
+def _eager_eigenbasis_solutions(v, b, bright, shift, rows, cols, sign, tolerance):
+    d = len(b)
+    s_mixed = 0.0
+    if bright.all():
+        free = rows[:0], cols[:0]
+        c, at = b, np.arange(d)
+    else:
+        lit = bright[rows] | bright[cols]
+        free = rows[~lit], cols[~lit]
+        rows, cols = rows[lit], cols[lit]
+        if sign < 0:
+            mixed = bright[rows] != bright[cols]
+            q = np.where(bright[rows], rows, cols)[mixed]
+            s_mixed = float(np.sqrt(np.einsum("ij,ij->j", b[:, q], b[:, q])).max(initial=0.0))
+            rows, cols = rows[~mixed], cols[~mixed]
+        touched = bright.copy()
+        touched[rows] = touched[cols] = True
+        c, at = b[touched][:, touched], np.cumsum(touched) - 1
+    if shift:
+        c.flat[::len(c) + 1] -= shift
+    off = rows < cols
+    parities = np.repeat([1.0, -1.0], [rows.size, off.sum()])
+    system = _parity_system(c, at[np.concatenate([rows, rows[off]])],
+                            at[np.concatenate([cols, cols[off]])], parities, sign)
+    systems = [(rows, cols, *_svd(system[:, :rows.size])),
+               (rows[off], cols[off], *_svd(system[:, rows.size:]))]
+    s_dark = abs(shift) * (1.0 + sign) if free[0].size else 0.0
+    threshold = tolerance * max([s_mixed, s_dark, 1.0] + [x[2].max(initial=0.0)
+                                                        for x in systems])
+    if s_dark > threshold:
+        free = rows[:0], cols[:0]
+    out = []
+    for parity, (r, s, s_vals, vt) in zip((1.0, -1.0), systems):
+        if parity < 0 and free[0].size:
+            off = free[0] < free[1]
+            free = free[0][off], free[1][off]
+        null = vt[np.sum(s_vals > threshold):].T
+        if free[0].size or null.size:
+            out.append(v @ _eager_parity_matrices(d, *free, r, s, null, parity) @ v.T)
+        else:
+            out.append(np.zeros((0, d, d)))
+    return out[0], out[1]
+
+
+def eager_commutant(h0, h1, tolerance: float = 1e-9) -> EagerCommutant:
+    w, v = np.linalg.eigh(h0)
+    labels = _group_labels(w, _DEGENERACY_TOL * _scale(w))
+    v, b, bright = _eager_bright_first(v, labels, h1, tolerance)
+    if labels[-1] + 1 == len(labels):
+        sym = _eager_diagonal_commutant(v, b, bright, tolerance)
+        anti = np.zeros((0,) + h0.shape)
+    else:
+        rows, cols = _upper_pairs(labels[:, None] == labels)
+        sym, anti = _eager_eigenbasis_solutions(v, b, bright, 0.0, rows, cols, -1.0,
+                                                tolerance)
+    herm = np.zeros((len(sym) + len(anti),) + h0.shape, dtype=complex)
+    herm.real[:len(sym)] = sym
+    herm.imag[len(sym):] = anti
+    return EagerCommutant(dimension=len(herm), basis=herm,
+                          has_external_symmetry=len(herm) > 1)
+
+
+def eager_internal_symmetry(h0, h1, tolerance: float = 1e-9) -> EagerAnticommutant:
+    d = h0.shape[0]
+    w, v = np.linalg.eigh(h0)
+    w -= np.trace(h0) / d
+    gap = _DEGENERACY_TOL * _scale(w)
+    labels = _group_labels(w, gap)
+    w = (np.bincount(labels, w) / np.bincount(labels))[labels]
+    rows, cols = _upper_pairs(np.abs(w[:, None] + w) <= gap)
+    dim = 0
+    if rows.size:
+        v, b, bright = _eager_bright_first(v, labels, h1, tolerance)
+        sym, anti = _eager_eigenbasis_solutions(v, b, bright, np.trace(h1) / d, rows, cols,
+                                                1.0, tolerance)
+        dim = len(sym) + len(anti)
+    if dim == 0:
+        return EagerAnticommutant(dimension=0, has_internal_symmetry=False,
+                                  symmetry_type=None, basis=np.zeros((0, d, d)))
+    sols = np.concatenate([sym, anti])
+    invertible = False
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        cand = np.tensordot(rng.standard_normal(dim), sols, 1)
+        smin = np.linalg.svd(cand, compute_uv=False)[-1]
+        if smin > tolerance * max(1.0, np.abs(cand).max()):
+            invertible = True
+            break
+    stype = ("mixed" if len(sym) and len(anti)
+             else "orthogonal" if len(sym) else "symplectic")
+    return EagerAnticommutant(dimension=dim, has_internal_symmetry=invertible,
+                              symmetry_type=stype, basis=sols)
+
+
+def full_stack_decompose(h0, h1, basis, tolerance: float = 1e-9,
+                         seed: int = 0) -> tuple[int, ...]:
+    """Block sizes of decompose, drawing each generic element from the whole
+    commutant basis and splitting it with one d x d eigh, with up to five
+    draws of refinement."""
+    d = h0.shape[0]
+    if len(basis) <= 1:
+        return (d,)
+    rng = np.random.default_rng(seed)
+    projectors = [np.eye(d)]
+    scale = max(1.0, np.abs(h0).max(), np.abs(h1).max())
+    for _ in range(5):
+        coeff = rng.standard_normal(len(basis))
+        coeff /= np.linalg.norm(coeff)
+        generic = np.tensordot(coeff, basis, 1)
+        refined = []
+        for basis_cols in projectors:
+            w, v = np.linalg.eigh(basis_cols.conj().T @ generic @ basis_cols)
+            labels = _group_labels(w, 1e-6 * _scale(w))
+            for g in range(labels[-1] + 1):
+                refined.append(basis_cols @ v[:, labels == g])
+        projectors = refined
+        if _off_block_residual((h0, h1), projectors) <= tolerance * scale:
+            return tuple(sorted(p.shape[1] for p in projectors))
+    raise RuntimeError("block refinement stalled")
+
+
+def frozen_graph_automorphisms(spec):
+    """spinctrl.graph_automorphisms as it ran with dict-indexed colours and
+    mappings: (sorted generators, group order)."""
+    n = spec.node_count
+    weights = {}
+    for m, q, g in spec.edges:
+        weights[(m, q)] = g
+        weights[(q, m)] = g
+    adj = spec.adjacency()
+    controls = set(spec.controls)
+
+    wclasses = _weight_classes(sorted({g for _, _, g in spec.edges}))
+    color = {v: (v in controls, len(adj[v]),
+                 tuple(sorted(wclasses[g] for _, g in adj[v]))) for v in range(1, n + 1)}
+    for _ in range(n):
+        newcolor = {}
+        for v in range(1, n + 1):
+            profile = tuple(sorted((color[w], wclasses[g]) for w, g in adj[v]))
+            newcolor[v] = (color[v], profile)
+        ranks = {c: i for i, c in enumerate(sorted(set(newcolor.values()), key=repr))}
+        relabeled = {v: ranks[newcolor[v]] for v in range(1, n + 1)}
+        if len(set(relabeled.values())) == len(set(color.values())):
+            color = relabeled
+            break
+        color = relabeled
+
+    base = sorted(range(1, n + 1), key=lambda v: (color[v], v))
+    same_color: dict = {}
+    for v in range(1, n + 1):
+        same_color.setdefault(color[v], []).append(v)
+    generators: list[tuple[int, ...]] = []
+    group_order = 1
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+    visited = 0
+
+    def fits(v, img):
+        if img in used or color[img] != color[v]:
+            return False
+        for w, g in adj[v]:
+            if w in mapping:
+                gw = weights.get((img, mapping[w]))
+                if gw is None or wclasses[gw] != wclasses[g]:
+                    return False
+        deg_mapped = sum(1 for w, _ in adj[v] if w in mapping)
+        deg_img_mapped = sum(1 for w, _ in adj[img] if w in used)
+        return deg_mapped == deg_img_mapped
+
+    def assign(v, img):
+        mapping[v] = img
+        used.add(img)
+
+    def extend(pos):
+        nonlocal visited
+        visited += 1
+        if visited > _AUTOMORPHISM_NODE_CAP:
+            raise RuntimeError("automorphism search cap exceeded")
+        if pos == n:
+            return True
+        v = base[pos]
+        for img in same_color[color[v]]:
+            if fits(v, img):
+                assign(v, img)
+                if extend(pos + 1):
+                    return True
+                used.discard(img)
+                del mapping[v]
+        return False
+
+    for i in range(n - 1, -1, -1):
+        b = base[i]
+        orbit = _orbit(b, generators)
+        for c in base[i + 1:]:
+            if c in orbit or color[c] != color[b]:
+                continue
+            mapping.clear()
+            used.clear()
+            for v in base[:i]:
+                assign(v, v)
+            if fits(b, c):
+                assign(b, c)
+                if extend(i + 1):
+                    generators.append(tuple(mapping[v] for v in range(1, n + 1)))
+                    orbit = _orbit(b, generators)
+        group_order *= len(orbit)
+    return sorted(generators), group_order
 
 
 def enumerate_automorphisms(spec) -> set[tuple[int, ...]]:

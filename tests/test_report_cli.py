@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinctrl import _exact, report
+from spinctrl import _exact, report, symmetry
 from spinctrl.cli import build_parser, main
 from spinctrl.hamiltonian import single_excitation
 from spinctrl.lie import lie_closure
@@ -134,9 +134,43 @@ class TestAnalyze:
 
     def test_timings_per_detector(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))
+        # "spectrum" is the one eigendecomposition the three eigenbasis detectors share
         assert set(rep.timings) == {
-            "hamiltonian", "commutant", "dark_states", "internal_symmetry",
+            "hamiltonian", "spectrum", "commutant", "dark_states", "internal_symmetry",
             "automorphisms", "decompose", "structure", "closure", "analytic"}
+
+    def test_one_spectral_pass_per_network(self, monkeypatch):
+        """analyze diagonalises h0 once and rotates its eigenspaces by h1
+        once; the three eigenbasis detectors share both."""
+        eigh, rotate = np.linalg.eigh, symmetry._bright_first
+        calls = {"eigh": 0, "rotate": 0}
+        current = {}
+
+        def eigh_spy(a, *args, **kwargs):
+            calls["eigh"] += a.shape == current["h0"].shape and np.array_equal(a, current["h0"])
+            return eigh(a, *args, **kwargs)
+
+        def rotate_spy(*args):
+            calls["rotate"] += 1
+            return rotate(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(symmetry, "_bright_first", rotate_spy)
+        for spec in (make_chain(17, "uniform", 0.0, controls=(3,)),
+                     make_star(StarDescriptor((5, 5, 5, 2)), 1.0),
+                     make_chain(6, "uniform", 0.0, controls=(1, 5))):
+            h0 = current["h0"] = single_excitation(spec).h0
+            # internal_symmetry rotates on its own only when the grouping of
+            # the traceless shift differs; on these networks it does not
+            w = eigh(h0)[0]
+            shifted = w - np.trace(h0) / len(w)
+            assert np.array_equal(
+                symmetry._group_labels(w, symmetry._DEGENERACY_TOL * symmetry._scale(w)),
+                symmetry._group_labels(shifted,
+                                       symmetry._DEGENERACY_TOL * symmetry._scale(shifted)))
+            calls.update(eigh=0, rotate=0)
+            analyze(spec)
+            assert calls == {"eigh": 1, "rotate": 1}, spec
 
     def test_report_serializes(self):
         rep = analyze(make_chain(5, "uniform", 1.0, controls=(2,)))

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (enumerate_automorphisms, generated_group, kron_commutant,
-                      kron_internal_symmetry)
+from conftest import (eager_commutant, eager_internal_symmetry, enumerate_automorphisms,
+                      frozen_graph_automorphisms, full_stack_decompose, generated_group,
+                      kron_commutant, kron_internal_symmetry)
 from spinctrl import reference, symmetry
 from spinctrl.acceptance import _gcd_sweep_fixtures, _random_chains
 from spinctrl.hamiltonian import single_excitation
@@ -119,20 +120,85 @@ def test_diagonal_commutant_matches_the_general_solver():
     general solver over the same diagonal unknowns spans the same space."""
     checked = 0
     for label, (h0, h1) in _detector_fixtures():
-        w, v = np.linalg.eigh(h0)
-        labels = symmetry._group_labels(w, symmetry._DEGENERACY_TOL * symmetry._scale(w))
-        if labels[-1] + 1 < len(w):
+        spec = symmetry.Spectrum.of(h0, h1)
+        if spec.labels[-1] + 1 < len(spec.labels):
             continue
-        v, b, bright = symmetry._bright_first(v, labels, h1, SYMMETRY_TOL)
-        diagonal = symmetry._diagonal_commutant(v, b.copy(), bright, SYMMETRY_TOL)
-        idx = np.arange(len(w))
-        sym, anti = symmetry._eigenbasis_solutions(v, b.copy(), bright, 0.0, idx, idx, -1.0,
+        v, b, bright = symmetry._bright_mask(spec.rotation, SYMMETRY_TOL)
+        diagonal = symmetry._diagonal_commutant(b.copy(), bright, SYMMETRY_TOL).stack(v)
+        idx = np.arange(len(b))
+        sym, anti = symmetry._eigenbasis_solutions(b.copy(), bright, 0.0, idx, idx, -1.0,
                                                    SYMMETRY_TOL)
+        sym = sym.stack(v)
         assert len(anti) == 0 and len(diagonal) == len(sym), label
         got, want = diagonal.reshape(len(sym), -1), sym.reshape(len(sym), -1)
         assert np.abs(want - (want @ got.T) @ got).max() < 1e-10, label
         checked += 1
     assert checked > 250
+
+
+def test_lazy_basis_is_the_eager_basis():
+    """Both results keep eigenbasis unknowns; the basis they build on first
+    read is the one the eager detectors wrote out, bit for bit."""
+    for label, (h0, h1) in _detector_fixtures():
+        comm = commutant(h0, h1, SYMMETRY_TOL)
+        want = eager_commutant(h0, h1, SYMMETRY_TOL)
+        assert (comm.dimension, comm.has_external_symmetry) == \
+            (want.dimension, want.has_external_symmetry), label
+        assert comm.basis.dtype == want.basis.dtype, label
+        assert np.array_equal(comm.basis, want.basis), label
+        anti = internal_symmetry(h0, h1, SYMMETRY_TOL)
+        want = eager_internal_symmetry(h0, h1, SYMMETRY_TOL)
+        assert (anti.dimension, anti.has_internal_symmetry, anti.symmetry_type) == \
+            (want.dimension, want.has_internal_symmetry, want.symmetry_type), label
+        assert anti.basis.dtype == want.basis.dtype, label
+        assert np.array_equal(anti.basis, want.basis), label
+
+
+def test_decompose_finds_the_full_stack_blocks():
+    """decompose draws from the unknowns and splits the draw per eigenspace
+    of h0; it finds the blocks of the draws from the whole stack."""
+    split = 0
+    for label, (h0, h1) in _detector_fixtures():
+        comm = commutant(h0, h1, SYMMETRY_TOL)
+        want = full_stack_decompose(h0, h1, eager_commutant(h0, h1, SYMMETRY_TOL).basis,
+                                    SYMMETRY_TOL)
+        assert symmetry.decompose(h0, h1, comm, SYMMETRY_TOL).block_sizes == want, label
+        split += len(want) > 1
+    assert split > 50  # fixtures that split into more than one block
+
+
+def test_decompose_rejects_blocks_that_are_not_invariant():
+    """Elements diagonal in the eigenbasis of h0 commute with h0 but not with
+    h1: their eigenvectors are no invariant blocks, and decompose says so."""
+    h0, h1 = _pair(make_chain(7, "uniform", 0.0, (2,)))
+    comm = commutant(h0, h1, SYMMETRY_TOL)
+    every = np.arange(7)
+    comm.symmetric = symmetry._Unknowns(every, every, 7, np.zeros((0, 0)), 1.0)
+    with pytest.raises(symmetry.DecompositionError, match="not invariant"):
+        symmetry.decompose(h0, h1, comm, SYMMETRY_TOL)
+
+
+def test_internal_symmetry_keeps_its_own_grouping(monkeypatch):
+    """Shifting by tr h0 / d changes the spectral scale and so the gap: here
+    four eigenvalues 4e-9 apart near 100 are one eigenspace of h0 and four of
+    the shift. internal_symmetry then rotates by its own grouping and gives
+    the eager result, not the shared rotation's."""
+    rotations = []
+    rotate = symmetry._bright_first
+
+    def spy(v, labels, h):
+        rotations.append(labels.max() + 1)
+        return rotate(v, labels, h)
+
+    monkeypatch.setattr(symmetry, "_bright_first", spy)
+    h0 = np.diag(100.0 + 4e-9 * np.arange(4))
+    h1 = np.diag([1.0, 1.0, -1.0, -1.0])
+    shared = symmetry.Spectrum.of(h0, h1)
+    anti = internal_symmetry(h0, h1, SYMMETRY_TOL, spectrum=shared)
+    assert rotations == [1, 4]
+    want = eager_internal_symmetry(h0, h1, SYMMETRY_TOL)
+    assert (anti.dimension, anti.symmetry_type) == (want.dimension, want.symmetry_type)
+    assert anti.dimension > 0 and np.array_equal(anti.basis, want.basis)
 
 
 def test_dark_block_stays_out_of_the_solver(monkeypatch):
@@ -220,3 +286,30 @@ def test_equal_branch_star_order(branches, order):
     gens = graph_automorphisms(make_star(StarDescriptor((2,) * branches), 0.0))
     assert gens.order == order
     assert len(gens) == branches - 1
+
+
+def _frozen_search_fixtures():
+    for n in range(2, 21):
+        for k in range(1, n + 1):
+            yield make_chain(n, "uniform", 0.0, (k,))
+    workload_stars = [(7, 5, 4), (5, 5, 5, 2), (2,) * 11, (6,) * 5, (4, 4, 4, 3, 3, 3, 2),
+                      (2,) * 8]
+    for lengths in workload_stars + _star_lengths(9):
+        star = make_star(StarDescriptor(lengths), 0.0)
+        yield star
+        # leaf controls: next to the centre, the tip of the first branch, the last node
+        for leaf in sorted({2, lengths[0], star.node_count}):
+            yield replace(star, controls=(leaf,))
+        yield replace(star, controls=(1, star.node_count))
+
+
+def test_automorphisms_match_the_frozen_search():
+    """The list-indexed search returns the generators and the order of the
+    dict-indexed one it replaced: same colour ranks, same base order."""
+    checked = 0
+    for spec in _frozen_search_fixtures():
+        gens = graph_automorphisms(spec)
+        want_gens, want_order = frozen_graph_automorphisms(spec)
+        assert (list(gens), gens.order) == (want_gens, want_order), spec
+        checked += 1
+    assert checked > 400
