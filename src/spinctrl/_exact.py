@@ -44,18 +44,19 @@ length d (_bright_echelon); D = B-perp is the dark part, where every seed
 acts and every commutator vanishes. u(B) + span(seeds restricted to D) is
 then a Lie algebra containing the seeds, so dim_p <= dim_Q <= n_B^2 + s_D,
 and equality certifies the dimension (the elements are then the integer
-basis of u(B) and the seeds with independent dark parts). The bound misses
-internal symmetries, such as the anticommuting one of the half-chain XX
-family: then, and whenever dim_p falls short of the bound, the big-integer
-oracle (fraction-free row elimination over the integers, one candidate at
-a time) reruns the loop, certifies the rank and supplies the elements. For
+basis of u(B) and the seeds with independent dark parts). s_D needs no
+basis of D: a symmetric h that leaves B invariant vanishes on D exactly
+when every column of h lies in B, so the seeds' columns reduced modulo B
+decide it (the column test). The bound misses internal symmetries, such
+as the anticommuting one of the half-chain XX family: then, and whenever
+dim_p falls short of the bound, the big-integer oracle (fraction-free row
+elimination over the integers, one candidate at a time) reruns the loop,
+certifies the rank and supplies the elements. For
 one controlled node k the bound is the dimension (symmetry.bright_structure
 proves it), and exact_structure reads it off the Krylov space B of e_k
-without a closure or a basis of D: h0 is symmetric and leaves D invariant,
-so it vanishes on D exactly when every column of h0 lies in B. The modular
-pass runs only when no int64 sum can overflow,
-max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for d >= 2; otherwise the
-big-integer oracle runs alone.
+with one column test and no closure. The modular pass runs only when no
+int64 sum can overflow, max(d, d(d+1)/2) * (p-1)^2 < 2**63, and only for
+d >= 2; otherwise the big-integer oracle runs alone.
 
 Float64 inputs are read as the exact dyadic rationals they are, by one
 vectorized pass (_dyadic_integers); other inputs go entry by entry through
@@ -229,7 +230,15 @@ class _IntegerEchelon:
         self.rows: list[tuple[int, list[int]]] = []  # (pivot index, row)
 
     def residual(self, vec: list[int]) -> list[int]:
+        return self.reduce(vec)[0]
+
+    def reduce(self, vec: list[int]) -> tuple[list[int], int]:
+        """(residual, factor): the residual is factor * vec minus a
+        combination of the rows, zero at every pivot. residual / factor is
+        then the one vector of vec + span(rows) that is zero at the pivots,
+        so it is linear in vec."""
         vec = list(vec)
+        factor = 1
         for piv, row in self.rows:
             b = vec[piv]
             if b:
@@ -237,7 +246,8 @@ class _IntegerEchelon:
                 g = math.gcd(abs(a), abs(b))
                 fa, fb = a // g, b // g
                 vec = [fa * x - fb * y for x, y in zip(vec, row)]
-        return vec
+                factor *= fa
+        return vec, factor
 
     def insert(self, vec: list[int]) -> None:
         g = 0
@@ -546,50 +556,30 @@ def _dark_split(seeds):
     vanishes on D. Hence u(B) + span(seeds restricted to D) is a Lie algebra
     containing the seeds, and the closure dimension is at most
     len(span)**2 + len(dark). An equal rank mod p certifies it.
-    exact_structure shares the loop (_bright_echelon) but needs no basis of
-    D: for one controlled node a column test decides the dark part.
+
+    No basis of D is built. A symmetric h leaving B and D invariant vanishes
+    on D exactly when every column of h lies in B (the column test of
+    exact_structure), so a combination of seeds vanishes on D exactly when
+    the same combination of their columns reduced modulo B vanishes. Each
+    column is reduced fraction-free (_IntegerEchelon.reduce) and divided by
+    its factor, so that the reduction is linear; a seed is kept when its
+    reduced columns are independent of those of the seeds kept before it.
     """
-    d = seeds[0][1].shape[0]
     mats = [mat for _, mat in seeds]
     # commutators are antisymmetric: their rows span their ranges
     echelon = _bright_echelon(mats, [row for i, a in enumerate(mats) for b in mats[i + 1:]
                                      for row in a.dot(b) - b.dot(a)])
     span = [row for _, row in echelon.rows]
-    null = np.array(_integer_nullspace(echelon.rows, d), dtype=object).reshape(-1, d).T
     parts = _IntegerEchelon()
     dark = []
     for kind, mat in seeds:
-        res = parts.residual(_sym_coords(null.T.dot(mat).dot(null), null.shape[1]))
+        columns = [echelon.reduce(col) for col in mat.T.tolist()]
+        scale = math.lcm(*(factor for _, factor in columns))
+        res = parts.residual([x * (scale // factor) for col, factor in columns for x in col])
         if any(res):
             parts.insert(res)
             dark.append((kind, mat))
     return span, dark
-
-
-def _integer_nullspace(rows: list[tuple[int, list[int]]], d: int) -> list[list[int]]:
-    """Integer basis of the vectors orthogonal to every row of an
-    _IntegerEchelon's rows: (pivot, row) sorted by pivot, each row zero
-    before its pivot."""
-    reduced: list[tuple[int, list[Fraction]]] = []
-    for piv, row in rows:
-        unit = [Fraction(x, row[piv]) for x in row]
-        for i, (p, other) in enumerate(reduced):
-            f = other[piv]
-            if f:
-                reduced[i] = (p, [x - f * y for x, y in zip(other, unit)])
-        reduced.append((piv, unit))
-    pivots = {p for p, _ in reduced}
-    out = []
-    for free in range(d):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * d
-        vec[free] = Fraction(1)
-        for p, row in reduced:
-            vec[p] = -row[free]
-        den = math.lcm(*(x.denominator for x in vec))
-        out.append([int(x * den) for x in vec])
-    return out
 
 
 def _subspace_basis(span: list[list[int]]) -> list[tuple[str, np.ndarray]]:

@@ -10,7 +10,8 @@ Hermitian commutant dimension. The commutant and the anticommutant are
 solved in the eigenbasis of the drift, where it leaves only the entries
 inside eigenspaces (or pairing opposite eigenvalues) free. The entries
 between directions the control does not see are solved in closed form;
-the rest are two dense systems, one per transpose parity. One Spectrum (the
+the rest are two dense systems, one per transpose parity, by one solver
+(_eigenbasis_solutions) for every spectrum. One Spectrum (the
 eigendecomposition of the drift and its rotation by the control) serves
 all three eigenbasis detectors, and their solutions stay eigenbasis
 unknowns until a basis is read.
@@ -61,15 +62,13 @@ class _Unknowns:
     """Real matrices X'_k of one transpose parity: unknown entries (r, s),
     r <= s, and coefficients over them (see _parity_matrices). Each of the
     first `free` unknowns is a solution of its own, then each column of
-    null gives one over the others. `diagonal`: the simple-spectrum
-    commutant, whose stack is (v * x) v^T."""
+    null gives one over the others."""
 
     r: np.ndarray
     s: np.ndarray
     free: int
     null: np.ndarray
     parity: float
-    diagonal: bool = False
 
     def __len__(self) -> int:
         return self.free + self.null.shape[1]
@@ -83,10 +82,6 @@ class _Unknowns:
 
     def stack(self, v: np.ndarray) -> np.ndarray:
         """The solutions v X'_k v^T, (len, d, d)."""
-        if self.diagonal:
-            x = np.zeros((len(self), len(v)))
-            x[:, self.r] = self.coefficients().T
-            return (v * x[:, None, :]) @ v.T
         return v @ _parity_matrices(len(v), self.r, self.s, self.coefficients(),
                                     self.parity) @ v.T
 
@@ -247,13 +242,9 @@ def commutant(h0: np.ndarray, h1: np.ndarray, tolerance: float = 1e-9,
     """
     spec = spectrum or Spectrum.of(h0, h1)
     v, b, bright = _bright_mask(spec.rotation, tolerance)
-    labels = spec.labels
-    if labels[-1] + 1 == len(labels):
-        sym, anti = _diagonal_commutant(b, bright, tolerance), _no_unknowns(-1.0)
-    else:
-        rows, cols = _upper_pairs(labels[:, None] == labels)
-        sym, anti = _eigenbasis_solutions(b, bright, 0.0, rows, cols, -1.0, tolerance)
-    return CommutantBasis(v, sym, anti, labels)
+    rows, cols = _upper_pairs(spec.labels[:, None] == spec.labels)
+    sym, anti = _eigenbasis_solutions(b, bright, 0.0, rows, cols, -1.0, tolerance)
+    return CommutantBasis(v, sym, anti, spec.labels)
 
 
 def dark_states(h0: np.ndarray, controls, tolerance: float = DARK_TOL,
@@ -654,26 +645,6 @@ def _bright_mask(rotation, tolerance: float):
     return v, b, bright
 
 
-def _diagonal_commutant(b: np.ndarray, bright: np.ndarray, tolerance: float) -> _Unknowns:
-    """The commutant solutions of _eigenbasis_solutions for a simple
-    spectrum, built on the triangle directly: X' is diagonal, each dark
-    direction is a free element, and on the bright ones [b, X'] has the rows
-    sqrt(2) b[p, q] (x_q - x_p), p < q. It takes about half the time of the
-    general solver on the same unknowns (0.82 against 1.45 ms summed over
-    the six simple spectra of the analyze workload, 2 vCPUs, numpy 2.4.6)."""
-    lit = np.flatnonzero(bright)
-    dark = np.flatnonzero(~bright)
-    p, q = np.nonzero(lit[:, None] < lit)
-    row = np.arange(p.size)
-    system = np.zeros((p.size, lit.size))
-    system[row, q] = np.sqrt(2.0) * b[lit[p], lit[q]]
-    system[row, p] = -system[row, q]
-    s_vals, vt = _svd(system)
-    null = vt[np.sum(s_vals > tolerance * max(1.0, s_vals.max(initial=0.0))):].T
-    both = np.concatenate([dark, lit])
-    return _Unknowns(both, both, dark.size, null, 1.0, diagonal=True)
-
-
 def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i <= j, where the symmetric mask holds."""
     rows, cols = np.nonzero(mask)
@@ -692,7 +663,9 @@ def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
 
     c is symmetric, so [c, .] and {c, .} map each transpose parity of X' to
     a fixed parity: the two parities are two systems (see _parity_system)
-    whose singular values together are those of the full d^2-row system.
+    whose singular values together are those of the full d^2-row system. A
+    simple spectrum leaves the commutator only diagonal unknowns, all
+    symmetric: one system, with the rows sqrt(2) c[p, q] (x_q - x_p), p < q.
     In the row and column of a dark direction c is -shift on the diagonal
     and zero elsewhere, so a dark x dark unknown meets only its own
     equation, with coefficient -shift (1 + sign): it is free when that is
@@ -712,25 +685,22 @@ def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
         free = rows[:0], cols[:0]
         c, at = b, np.arange(d)  # b is the caller's own copy
     else:
-        lit = bright[rows] | bright[cols]
-        free = rows[~lit], cols[~lit]
-        rows, cols = rows[lit], cols[lit]
+        lit_r, lit_c = bright[rows], bright[cols]
+        dark = ~(lit_r | lit_c)
+        free = rows[dark], cols[dark]
         if sign < 0:
-            mixed = bright[rows] != bright[cols]
-            q = np.where(bright[rows], rows, cols)[mixed]
-            s_mixed = float(np.sqrt(np.einsum("ij,ij->j", b[:, q], b[:, q])).max(initial=0.0))
-            rows, cols = rows[~mixed], cols[~mixed]
+            q = b[:, np.where(lit_r, rows, cols)[lit_r != lit_c]]
+            s_mixed = float(np.sqrt(np.einsum("ij,ij->j", q, q)).max(initial=0.0))
+        solve = lit_r & lit_c if sign < 0 else ~dark
+        rows, cols = rows[solve], cols[solve]
         touched = bright.copy()
         touched[rows] = touched[cols] = True
         c, at = b[touched][:, touched], np.cumsum(touched) - 1  # position in c
     if shift:
         c.flat[::len(c) + 1] -= shift
     off = rows < cols
-    parities = np.repeat([1.0, -1.0], [rows.size, off.sum()])
-    system = _parity_system(c, at[np.concatenate([rows, rows[off]])],
-                            at[np.concatenate([cols, cols[off]])], parities, sign)
-    systems = [(rows, cols, *_svd(system[:, :rows.size])),
-               (rows[off], cols[off], *_svd(system[:, rows.size:]))]
+    systems = [(r, s, *_svd(_parity_system(c, at[r], at[s], parity, sign)))
+               for parity, r, s in ((1.0, rows, cols), (-1.0, rows[off], cols[off]))]
     s_dark = abs(shift) * (1.0 + sign) if free[0].size else 0.0
     threshold = tolerance * max([s_mixed, s_dark, 1.0] + [x[2].max(initial=0.0)
                                                         for x in systems])
@@ -742,29 +712,58 @@ def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
             off = free[0] < free[1]
             free = free[0][off], free[1][off]
         out.append(_Unknowns(np.concatenate([free[0], r]), np.concatenate([free[1], s]),
-                             free[0].size, vt[np.sum(s_vals > threshold):].T, parity))
+                             free[0].size, vt[np.count_nonzero(s_vals > threshold):].T,
+                             parity))
     return out[0], out[1]
 
 
-def _parity_system(c: np.ndarray, r: np.ndarray, s: np.ndarray, parity: np.ndarray,
+def _parity_system(c: np.ndarray, r: np.ndarray, s: np.ndarray, parity: float,
                    sign: float) -> np.ndarray:
     """Matrix of X' -> c X' + sign X' c on the unknowns E_k of
-    _parity_matrices, each of transpose parity parity[k]. For symmetric c,
-    E_k c = parity (c E_k)^T, so the image of E_k has parity sign * parity.
-    The rows are the upper triangle of the image, weighted by sqrt(2) off the
-    diagonal, so that the singular values of the columns of one parity are
-    those of the map in Frobenius norm (an antisymmetric image adds only
-    zero rows, its diagonal)."""
-    n = len(c)
-    a = np.where(r == s, 0.5, np.sqrt(0.5))
-    k = np.arange(r.size)
-    image = np.zeros((n, n, r.size))  # c E_k, then c E_k + sign E_k c
-    image[:, s, k] = a * c[:, r]
-    image[:, r, k] += parity * a * c[:, s]
-    image += sign * parity * image.transpose(1, 0, 2)
+    _parity_matrices, all of transpose parity `parity`. For symmetric c,
+    E_k c = parity (c E_k)^T, so the image of E_k is P + sign parity P^T,
+    P = c E_k, of parity sign * parity. The rows are the upper triangle of
+    the image, weighted by sqrt(2) off the diagonal, so that the singular
+    values are those of the map in Frobenius norm; the strict upper
+    triangle for an antisymmetric image, whose diagonal is zero.
+
+    P has two nonzero columns, a_k c[:, r] at s and parity a_k c[:, s] at
+    r, so E_k reaches only the lines r and s of the triangle: its column is
+    written from those two columns of c (read from its upper triangle, so
+    that c[x, y] and c[y, x] are one number), and no image is formed."""
+    if not r.size:
+        return np.zeros((0, 0))
+    line, weight, upper, count = _triangle(len(c), sign * parity < 0)
+    a = np.where(r == s, 0.5, np.sqrt(0.5))[:, None]
+    sym = c.ravel()[upper]
+    offset = (count + 1) * np.arange(r.size)[:, None]
+    out = np.zeros((r.size, count + 1))  # the system transposed, and a spare row
+    flat = out.ravel()
+    flat[line[s] + offset] = a * sym[r] * weight[s]
+    flat[line[r] + offset] += parity * a * sym[s] * weight[r]
+    return out[:, :count].T
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(n: int, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The rows of _parity_system for an n x n image, symmetric or (strict)
+    antisymmetric, as tables indexed [y, x] by the column y of P and the
+    row x: the row P[x, y] lands in, (x, y) or (y, x) of the upper triangle
+    (row-major), or one past the last for the diagonal of a strict one; its
+    weight, sqrt(2) off the diagonal, negated below it when strict, and 2
+    on it, where P[x, x] enters twice; the flat index of
+    c[min(x, y), max(x, y)]. Then the number of rows."""
     idx = np.arange(n)
-    image[idx, idx] *= np.sqrt(0.5)
-    return image[idx[:, None] <= idx] * np.sqrt(2.0)
+    above = idx[:, None] < idx if strict else idx[:, None] <= idx
+    count = int(above.sum())
+    line = np.full((n, n), count)
+    line[above] = np.arange(count)
+    line = np.minimum(line, line.T)
+    weight = np.where(strict & (idx[:, None] < idx), -np.sqrt(2.0), np.sqrt(2.0))
+    weight[idx, idx] = 2.0
+    upper = np.minimum(idx[:, None], idx) * n + np.maximum(idx[:, None], idx)
+    line.flags.writeable = weight.flags.writeable = upper.flags.writeable = False
+    return line, weight, upper, count
 
 
 def _parity_matrices(n: int, r: np.ndarray, s: np.ndarray, coeff: np.ndarray,

@@ -250,11 +250,8 @@ def _eager_eigenbasis_solutions(v, b, bright, shift, rows, cols, sign, tolerance
     if shift:
         c.flat[::len(c) + 1] -= shift
     off = rows < cols
-    parities = np.repeat([1.0, -1.0], [rows.size, off.sum()])
-    system = _parity_system(c, at[np.concatenate([rows, rows[off]])],
-                            at[np.concatenate([cols, cols[off]])], parities, sign)
-    systems = [(rows, cols, *_svd(system[:, :rows.size])),
-               (rows[off], cols[off], *_svd(system[:, rows.size:]))]
+    systems = [(r, s, *_svd(_parity_system(c, at[r], at[s], parity, sign)))
+               for parity, r, s in ((1.0, rows, cols), (-1.0, rows[off], cols[off]))]
     s_dark = abs(shift) * (1.0 + sign) if free[0].size else 0.0
     threshold = tolerance * max([s_mixed, s_dark, 1.0] + [x[2].max(initial=0.0)
                                                         for x in systems])

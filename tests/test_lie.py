@@ -330,6 +330,27 @@ class TestModularCertificate:
             with pytest.raises(_FellBack):
                 _exact.exact_closure(mats)
 
+    def test_dark_split_compares_reduced_columns(self, monkeypatch):
+        """Two seeds with proportional, nonzero restrictions to D, in a basis
+        where their columns reduce modulo B with different elimination
+        factors: one dark seed, and the bound n_B^2 + 1 = 5 certifies the
+        closure without the big-integer loop."""
+        # B = span(3 e1 + 4 e3, 3 e2 + 4 e4), D = B-perp
+        o = np.array([[3, 0, -4, 0], [0, 3, 0, -4], [4, 0, 3, 0], [0, 4, 0, 3]], float)
+        on_d = np.array([[-2.0, 1.0], [1.0, -1.0]])
+
+        def seed(on_b, scale):
+            return o @ np.block([[np.array(on_b, float), np.zeros((2, 2))],
+                                 [np.zeros((2, 2)), scale * on_d]]) @ o.T
+
+        mats = [seed([[0, 1], [1, 3]], 1.0), seed([[-1, 0], [0, 1]], 2.0)]
+        span, dark = _exact._dark_split(_exact.integer_seeds(mats))
+        assert (len(span), len(dark)) == (2, 1)
+        want = _integer_loop(mats)
+        assert want[0] == 5
+        monkeypatch.setattr(_exact, "integer_closure", _no_fallback)
+        assert _closure_summary(_exact.exact_closure(mats)) == want
+
     @pytest.mark.parametrize("length,k,kappa", [(7, 2, 0.0), (6, 2, 1.0), (7, 4, -1.0),
                                                 (9, 5, 0.0)])
     def test_certified_elements_span_the_closure(self, monkeypatch, length, k, kappa):

@@ -196,10 +196,10 @@ class TestAnalyze:
         self._check_exact_structures()
 
     def test_exact_structure_builds_no_dark_basis(self, monkeypatch):
-        def no_nullspace(*args, **kwargs):
-            raise AssertionError("_integer_nullspace called")
+        def no_dark_split(*args, **kwargs):
+            raise AssertionError("_dark_split called")
 
-        monkeypatch.setattr(_exact, "_integer_nullspace", no_nullspace)
+        monkeypatch.setattr(_exact, "_dark_split", no_dark_split)
         self._check_exact_structures()
 
     @staticmethod
