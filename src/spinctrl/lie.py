@@ -18,34 +18,41 @@ directions, after which the closure saturates. Deferral keeps those
 candidates out until the true span is complete, at which point they either
 vanish or are real.
 
-Every pair of basis elements is bracketed (the all-pairs test). Queued
-pairs are screened 32 at a time. The generators are real, so every element
-is exactly real or exactly imaginary: the seeds are imaginary, a bracket
-flips parity, and projecting onto the other parity gives an exact zero. The
-screen therefore keeps each element's nonzero half as a real d x d matrix,
-brackets the halves in one batched real product, and projects each bracket
-against the rows of its own parity only, about a quarter of the work of the
-complex, 2*d*d-wide product. A bracket whose norm or residual lies below
-the drop threshold by a relative margin of 1e-3 is counted but skipped,
-because handle() would drop it too: the basis only grows before handle()
-would see it, which only shrinks the residual, and the margin dwarfs the
-rounding gap between the two residuals. By the same argument a bracket
-whose residual lies below the accept threshold by that margin can only be
-deferred or dropped, never accepted; it is logged, not handled. Every other
-bracket is recomputed one at a time and handled exactly as without the
-screen.
+Every pair of basis elements is bracketed (the all-pairs test). Rows are
+numbered in the order they are accepted and the pairs are taken in (j, i)
+order, i < j, so pair (i, j) is number j(j-1)/2 + i and one cursor over
+those numbers stands for the queue; the bracket count is the cursor. Pairs
+are screened 128 at a time, and a batch may run from one j into the next.
+The generators are real, so every element is exactly real or exactly
+imaginary: the seeds are imaginary, a bracket flips parity, and projecting
+onto the other parity gives an exact zero. The screen therefore keeps each
+element's nonzero half as a real d x d matrix, brackets the halves in one
+batched real product, and projects each bracket once against the rows of its
+own parity only. A bracket whose norm or residual lies below the drop
+threshold by a relative margin of 1e-3 is counted but skipped, because
+handle() would drop it too: the basis only grows before handle() would see
+it, which only shrinks the residual, and the margin dwarfs the rounding gap
+between the two residuals (O(u d^2) of the norm for the screen's one pass).
+By the same argument a bracket whose residual lies below the accept
+threshold by that margin can only be deferred or dropped, never accepted; it
+is logged, not handled. Only the other brackets are visited one by one. One
+that rows accepted after its screen have made stale has its kept residual
+projected against those new rows of its own parity and is decided again:
+handled if it may still be accepted, logged if it can only be deferred,
+skipped otherwise. A bracket that is handled is recomputed and decided
+exactly as without the screen.
 
 The deferral pool is touched only when it is read. Every operation on it
 goes into one ordered log instead: each accepted basis row, each candidate
 handle() defers (its residual and scale), and each logged bracket with the
 basis size at the moment handle() would have run. Just before the pool is
-consulted, once the queue has drained, the log is replayed in order with the
+consulted, once every pair is taken, the log is replayed in order with the
 same operations: a logged bracket is recomputed and its residual taken
 against the basis rows present then (rows never change once written), and
 each accepted row projects the rows pushed before it. The pool sees the
 same operands in the same order and shapes, so it holds the same bits, and
 the basis is the same to the last bit as without screen and log. A closure
-that saturates at d^2 before its queue drains throws the log away and never
+that saturates at d^2 before its pairs run out throws the log away and never
 builds the pool.
 
 Exact mode delegates to _exact (a modular pass certified by the full rank
@@ -57,9 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -68,11 +73,11 @@ from . import _exact
 # Float mode: a residual above this fraction of max(1, candidate norm) is
 # accepted at once; a smaller but significant one is deferred.
 _DEFER_THRESHOLD = 1e-1
-# Float mode: queued pairs are bracketed and screened this many at a time;
+# Float mode: pairs are bracketed and screened this many at a time;
 # a screened bracket skips handle() only below this fraction of the drop
 # threshold (1e-9 of the scale at tol = 1e-6, far above rounding), and is
 # logged instead of handled only below this fraction of the accept threshold.
-_SCREEN_BATCH = 32
+_SCREEN_BATCH = 128
 _SCREEN_MARGIN = 1.0 - 1e-3
 # Float mode: kinds of entry in the log of deferral-pool operations.
 _ACCEPT, _PUSH, _BRACKET = range(3)
@@ -249,8 +254,7 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
     nb = 0
     pending = _PendingPool(width)
     log: list[tuple] = []  # pool operations not yet applied, in order
-    queue: deque[tuple[int, int]] = deque()
-    evaluated = 0
+    done = 0  # pairs taken; pair (i, j), i < j, is number j (j - 1) / 2 + i
     seq = 0
 
     def project_out(vec: np.ndarray) -> np.ndarray:
@@ -277,8 +281,6 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
             halves[full - n_imag] = vec[full:]
         log.append((_ACCEPT, nb))
         nb += 1
-        for i in range(nb - 1):
-            queue.append((i, nb - 1))
 
     def bracket(i: int, j: int) -> np.ndarray:
         return elements[i] @ elements[j] - elements[j] @ elements[i]
@@ -337,49 +339,69 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
             seq += 1
         log.clear()
 
-    def screen(pairs):
-        """(survives, accepts) per bracket. survives is False when handle()
-        would surely drop the bracket: its norm, or its residual against the
-        current basis, is below the drop threshold by the margin
-        _SCREEN_MARGIN. accepts is False when handle() surely cannot accept
-        it: the residual is below the accept threshold by the same margin.
-        The basis only grows before handle() sees the bracket, which only
-        shrinks the residual. Each element is exactly real or exactly
-        imaginary, so a bracket is ±[M_i, M_j] of the elements' nonzero
-        halves, imaginary iff their parities differ, and orthogonal to every
-        basis row of the other parity."""
-        left, right = np.array(pairs, dtype=np.intp).T
+    def screen(left: np.ndarray, right: np.ndarray):
+        """(residuals, scales, parities, survives, accepts) of the brackets
+        [left, right]; a parity is True for an imaginary bracket. survives
+        is False when handle() would surely drop the bracket: its norm, or
+        its residual against the current basis, is below the drop threshold
+        by the margin _SCREEN_MARGIN. accepts is False when handle() surely
+        cannot accept it: the residual is below the accept threshold by the
+        same margin. The basis only grows before handle() sees the bracket,
+        which only shrinks the residual. Each element is exactly real or
+        exactly imaginary, so a bracket is ±[M_i, M_j] of the elements'
+        nonzero halves, imaginary iff their parities differ, and orthogonal
+        to every basis row of the other parity. It is projected against its
+        own parity once: one pass rounds at O(u d^2) of its norm, below the
+        margin, 1e-3 of the threshold (1e-11 of the scale at tol = 1e-8,
+        where u d^2 is about 5e-13 at d = 50)."""
         a = halves[half_row[left]].reshape(-1, d, d)
         b = halves[half_row[right]].reshape(-1, d, d)
-        flat = (a @ b - b @ a).reshape(len(pairs), full)
-        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-        rn = norms.copy()
+        res = (a @ b - b @ a).reshape(len(left), full)
+        norms = np.sqrt(np.einsum("ij,ij->i", res, res))
         odd = imaginary[left] != imaginary[right]
         for mask, sub in ((~odd, halves[:n_real]), (odd, halves[full - n_imag:])):
             if len(sub) and mask.any():
-                res = flat[mask]
-                res = res - (res @ sub.T) @ sub
-                res = res - (res @ sub.T) @ sub
-                rn[mask] = np.sqrt(np.einsum("ij,ij->i", res, res))
+                part = res[mask]
+                res[mask] = part - (part @ sub.T) @ sub
+        rn = np.sqrt(np.einsum("ij,ij->i", res, res))
         scale = _SCREEN_MARGIN * np.maximum(norms, 1.0)
         survives = (norms > _SCREEN_MARGIN * tol) & (rn > tol * scale)
-        return survives, survives & (rn > _DEFER_THRESHOLD * scale)
+        return res, scale, odd, survives, survives & (rn > _DEFER_THRESHOLD * scale)
 
     for g in mats:
         handle(1j * g.astype(complex))
     while True:
-        while queue and nb < full:
-            pairs = list(islice(queue, _SCREEN_BATCH))
-            survives, accepts = screen(pairs)
-            for (i, j), alive, eager in zip(pairs, survives.tolist(), accepts.tolist()):
-                if nb >= full:
-                    break
-                queue.popleft()
-                evaluated += 1
+        while done < nb * (nb - 1) // 2 and nb < full:
+            stop = min(done + _SCREEN_BATCH, nb * (nb - 1) // 2)
+            pos = np.arange(done, stop)
+            right = ((1 + np.sqrt(8 * pos + 1)) // 2).astype(np.intp)
+            left = pos - right * (right - 1) // 2
+            res, scale, odd, survives, accepts = screen(left, right)
+            n_real0, n_imag0 = n_real, n_imag
+            live = np.flatnonzero(survives)
+            for t, i, j, eager in zip(live.tolist(), left[live].tolist(),
+                                      right[live].tolist(), accepts[live].tolist()):
                 if eager:
-                    handle(bracket(i, j))
-                elif alive:
+                    # recheck the kept residual against the rows of the
+                    # bracket's parity accepted since the screen
+                    new = (halves[full - n_imag:full - n_imag0] if odd[t]
+                           else halves[n_real0:n_real])
+                    if len(new):
+                        r = res[t]
+                        r = r - (new @ r) @ new
+                        rn = math.sqrt(r.dot(r))
+                        if rn <= tol * scale[t]:
+                            continue
+                        eager = rn > _DEFER_THRESHOLD * scale[t]
+                if not eager:
                     log.append((_BRACKET, i, j, nb))
+                    continue
+                handle(bracket(i, j))
+                if nb >= full:
+                    done += t + 1
+                    break
+            else:
+                done = stop
         if nb >= full:
             break
         replay()
@@ -390,7 +412,7 @@ def _float_closure(mats, d: int, tol: float) -> LieClosureResult:
 
     return LieClosureResult(dimension=nb, basis=basis[:nb].copy(), matrix_dimension=d,
                             mode="float", rank_tolerance=tol,
-                            commutators_evaluated=evaluated, saturated=nb >= full)
+                            commutators_evaluated=done, saturated=nb >= full)
 
 
 class _ExactClosureResult(LieClosureResult):

@@ -688,9 +688,10 @@ def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
         lit_r, lit_c = bright[rows], bright[cols]
         dark = ~(lit_r | lit_c)
         free = rows[dark], cols[dark]
-        if sign < 0:
-            q = b[:, np.where(lit_r, rows, cols)[lit_r != lit_c]]
-            s_mixed = float(np.sqrt(np.einsum("ij,ij->j", q, q)).max(initial=0.0))
+        mixed = lit_r != lit_c
+        if sign < 0 and mixed.any():
+            q = b[:, np.where(lit_r, rows, cols)[mixed]]
+            s_mixed = float(np.sqrt(np.einsum("ij,ij->j", q, q)).max())
         solve = lit_r & lit_c if sign < 0 else ~dark
         rows, cols = rows[solve], cols[solve]
         touched = bright.copy()
@@ -699,7 +700,8 @@ def _eigenbasis_solutions(b: np.ndarray, bright: np.ndarray, shift: float,
     if shift:
         c.flat[::len(c) + 1] -= shift
     off = rows < cols
-    systems = [(r, s, *_svd(_parity_system(c, at[r], at[s], parity, sign)))
+    systems = [(r, s, *(_svd(_parity_system(c, at[r], at[s], parity, sign)) if r.size
+                        else (np.zeros(0), np.zeros((0, 0)))))
                for parity, r, s in ((1.0, rows, cols), (-1.0, rows[off], cols[off]))]
     s_dark = abs(shift) * (1.0 + sign) if free[0].size else 0.0
     threshold = tolerance * max([s_mixed, s_dark, 1.0] + [x[2].max(initial=0.0)
